@@ -79,6 +79,11 @@ def _stage_rows(stage, adapter) -> dict:
     }
 
 
+def _check_depth(depth: int) -> None:
+    if depth < 1:
+        raise ConfigError(f"--depth must be >= 1, got {depth}")
+
+
 def _cmd_build(args: argparse.Namespace) -> dict:
     if args.stages < 1:
         raise ConfigError(f"--stages must be >= 1, got {args.stages}")
@@ -92,6 +97,7 @@ def _cmd_build(args: argparse.Namespace) -> dict:
 
 
 def _cmd_schedule(args: argparse.Namespace) -> dict:
+    _check_depth(args.depth)
     adapter = _make_adapter(args)
     schedule, _ = build_schedule(adapter, args.depth, args.scan_cap)
     blocks = [
@@ -114,6 +120,7 @@ def _cmd_schedule(args: argparse.Namespace) -> dict:
 
 
 def _cmd_verify(args: argparse.Namespace) -> dict:
+    _check_depth(args.depth)
     adapter = _make_adapter(args)
     schedule, trace = build_schedule(adapter, args.depth, args.scan_cap)
     certificates = [
@@ -165,7 +172,10 @@ def _cmd_partition(args: argparse.Namespace) -> dict:
     m = 1
     while DyadicMass.pow2(m - 1) > epsilon:
         m += 1
-    depth = args.depth if args.depth is not None else m
+    depth = m
+    if args.depth is not None:
+        _check_depth(args.depth)
+        depth = args.depth
     adapter = _make_adapter(args)
     schedule, trace = build_schedule(adapter, depth, args.scan_cap)
     certificate = build_partition(schedule, trace, epsilon)

@@ -65,10 +65,6 @@ class UnknownCell(DyadicMeasureError):
     """Signature or cell id does not name a cell of the given stage."""
 
 
-class ConsistencyViolation(DyadicMeasureError):
-    """A mass re-evaluated at a later stage changed value."""
-
-
 class EmptyStage(DyadicMeasureError):
     """Operation needs at least one cell but the stage has none."""
 
@@ -91,6 +87,10 @@ class DecayViolation(VerificationViolation):
 
 class AdditivityViolation(VerificationViolation):
     """Sampled additivity or subadditivity check failed."""
+
+
+class ConsistencyViolation(VerificationViolation):
+    """A mass re-evaluated at a later stage changed value."""
 
 
 class MembershipViolation(VerificationViolation):

@@ -21,9 +21,10 @@ snapshots.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 from sortedcontainers import SortedList
 
@@ -247,6 +248,68 @@ def ring_difference(d1: RingElement, d2: RingElement) -> RingElement:
     )
 
 
+class _SpanIndex:
+    """Stabbing index over the spans of multi-part line cells.
+
+    A span runs from a cell's first ``lo`` to its last ``hi``.  Entries
+    ``(lo_float, lo, hi_float, hi, cell_id)`` sit sorted in blocks of
+    bounded size, and each block caches the largest float ``hi`` it holds,
+    so a query only opens blocks that hold a span reaching past the point.
+    """
+
+    _LOAD = 64
+
+    def __init__(self) -> None:
+        self._blocks: list[list[tuple]] = []
+        self._firsts: list[tuple] = []
+        self._max_hi: list[float] = []
+
+    def add(self, entry: tuple) -> None:
+        if not self._blocks:
+            self._blocks.append([entry])
+            self._firsts.append(entry)
+            self._max_hi.append(entry[2])
+            return
+        i = max(bisect_right(self._firsts, entry) - 1, 0)
+        block = self._blocks[i]
+        insort(block, entry)
+        self._firsts[i] = block[0]
+        if entry[2] > self._max_hi[i]:
+            self._max_hi[i] = entry[2]
+        if len(block) > 2 * self._LOAD:
+            tail = block[self._LOAD:]
+            del block[self._LOAD:]
+            self._blocks.insert(i + 1, tail)
+            self._firsts.insert(i + 1, tail[0])
+            self._max_hi[i] = max(e[2] for e in block)
+            self._max_hi.insert(i + 1, max(e[2] for e in tail))
+
+    def remove(self, entry: tuple) -> None:
+        i = bisect_right(self._firsts, entry) - 1
+        block = self._blocks[i]
+        del block[bisect_left(block, entry)]
+        if not block:
+            del self._blocks[i], self._firsts[i], self._max_hi[i]
+            return
+        self._firsts[i] = block[0]
+        if entry[2] == self._max_hi[i]:
+            self._max_hi[i] = max(e[2] for e in block)
+
+    def stab(self, x_f: float, x: Fraction) -> list[int]:
+        """Ids of cells whose span strictly contains x."""
+        key = (x_f, x)
+        out = []
+        for i in range(bisect_left(self._firsts, key)):
+            if self._max_hi[i] < x_f:
+                continue
+            for lo_f, lo, hi_f, hi, cid in self._blocks[i]:
+                if lo_f > x_f or (lo_f == x_f and lo >= x):
+                    break
+                if hi_f > x_f or (hi_f == x_f and hi > x):
+                    out.append(cid)
+        return out
+
+
 def classify(cell: Cell, v: BasisHandle, adapter: SpaceAdapter) -> Classification:
     """How one insertion acts on one cell."""
     in_region = adapter.meet(cell.region, v.region)
@@ -256,6 +319,12 @@ def classify(cell: Cell, v: BasisHandle, adapter: SpaceAdapter) -> Classificatio
     if ext_region.is_empty:
         return Classification("persist_inside")
     return Classification("split", in_region, ext_region)
+
+
+def _span_entry(cid: int, region: LineRegion) -> tuple:
+    lo = region.parts[0][0]
+    hi = region.parts[-1][1]
+    return (float(lo), lo, float(hi), hi, cid)
 
 
 class StageBuilder:
@@ -273,8 +342,9 @@ class StageBuilder:
         self.records: list[StepRecord] = []
         self._next_id = 1
         if self._is_line:
-            # (lo_float, lo, hi_float, hi, cell_id, part_pos); parts disjoint
+            # (lo_float, lo, hi_float, hi, cell_id); parts disjoint
             self._parts = SortedList()
+            self._spans = _SpanIndex()  # cells with two or more parts
             self._closures = SortedList()  # merged closed intervals (lo, hi)
         else:
             self._members: dict[str, int] = {}
@@ -309,8 +379,10 @@ class StageBuilder:
 
     def _register(self, cid: int, region) -> None:
         if self._is_line:
-            for pos, (lo, hi) in enumerate(region.parts):
-                self._parts.add((float(lo), lo, float(hi), hi, cid, pos))
+            for lo, hi in region.parts:
+                self._parts.add((float(lo), lo, float(hi), hi, cid))
+            if len(region.parts) > 1:
+                self._spans.add(_span_entry(cid, region))
         else:
             for p in region.prefixes:
                 self._members[p] = cid
@@ -318,51 +390,61 @@ class StageBuilder:
 
     def _unregister(self, cid: int, region) -> None:
         if self._is_line:
-            for pos, (lo, hi) in enumerate(region.parts):
-                self._parts.remove((float(lo), lo, float(hi), hi, cid, pos))
+            for lo, hi in region.parts:
+                self._parts.remove((float(lo), lo, float(hi), hi, cid))
+            if len(region.parts) > 1:
+                self._spans.remove(_span_entry(cid, region))
         else:
             for p in region.prefixes:
                 del self._members[p]
                 self._member_keys.remove(p)
 
     def _affected_cells(self, region) -> list[int]:
-        """Ids of cells the insertion actually changes.
+        """Ids of the cells the insertion may split, ascending.
 
-        The line branch yields only cells that split.  Cells overlapping
-        the open interval but falling entirely inside it persist with no
-        state change, so wide insertions stay cheap.  Floats guard the
-        exact comparisons: float conversion of a rational is monotone, so
-        strict float inequality already decides, and only float ties pay
-        for exact arithmetic.
+        On Cantor space these are all cells meeting the new cylinder, and
+        ``insert`` skips the ones lying inside it.  On the line they are
+        exactly the cells that split, that is, the cells meeting the new
+        interval (a, b) that also have points outside [a, b].  Such a cell
+        has a part straddling a or b, or it has several parts, its span
+        (first lo to last hi) strictly contains a or b, and one of its
+        parts meets (a, b).  The two bisects at a and b find the straddling
+        parts, and the span index answers the rest: a stab at a point scans
+        the entries of every span block whose largest hi passes it, which
+        is far fewer than the parts inside a wide interval, though not
+        bounded by the cells it returns.  Floats guard the exact
+        comparisons: float conversion of a rational is monotone, so strict
+        float inequality already decides, and only float ties pay for exact
+        arithmetic.
         """
         seen: set[int] = set()
         if self._is_line:
             a, b = region.parts[0]
             a_f, b_f = float(a), float(b)
-            idx = self._parts.bisect_left((a_f, a))
-            if idx > 0:
-                _, _, hi_f, hi, cid, _ = self._parts[idx - 1]
+            parts = self._parts
+            start = parts.bisect_left((a_f, a))
+            stop = parts.bisect_left((b_f, b))
+            if start > 0:
+                _, _, hi_f, hi, cid = parts[start - 1]
                 # parts are disjoint, so at most this one contains a
                 if hi_f > a_f or (hi_f == a_f and hi > a):
                     seen.add(cid)
-            walked: dict[int, list] = {}
-            for lo_f, lo, hi_f, hi, cid, pos in self._parts.irange((a_f, a)):
-                if lo_f > b_f or (lo_f == b_f and lo >= b):
-                    break
-                info = walked.get(cid)
-                if info is None:
-                    walked[cid] = info = [pos, pos, False]
-                else:
-                    info[1] = pos
+            # with no part starting in [a, b), only the straddler of a
+            # meets (a, b)
+            if stop > start:
+                _, _, hi_f, hi, cid = parts[stop - 1]
                 if hi_f > b_f or (hi_f == b_f and hi > b):
-                    info[2] = True  # part sticks out past b
-            for cid, (pmin, pmax, beyond) in walked.items():
-                if (
-                    beyond
-                    or pmin > 0
-                    or pmax < len(self.cells[cid].region.parts) - 1
-                ):
-                    seen.add(cid)
+                    seen.add(cid)  # straddles b
+                for x_f, x in ((a_f, a), (b_f, b)):
+                    for cid in self._spans.stab(x_f, x):
+                        if cid in seen:
+                            continue
+                        cell_parts = self.cells[cid].region.parts
+                        # the span ends past a, so some part does; the
+                        # first such part meets (a, b) if it starts before b
+                        k = bisect_right(cell_parts, a, key=itemgetter(1))
+                        if cell_parts[k][0] < b:
+                            seen.add(cid)
         else:
             w = region.prefixes[0]
             for i in range(len(w) + 1):
@@ -380,7 +462,7 @@ class StageBuilder:
             idx = self._parts.bisect_left((float(a), a))
             if idx == 0:
                 return None
-            _, lo, _, hi, cid, _ = self._parts[idx - 1]
+            _, lo, _, hi, cid = self._parts[idx - 1]
             if lo < a and b < hi:
                 return cid
             return None

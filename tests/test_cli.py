@@ -5,6 +5,8 @@ import json
 import pytest
 
 import dyadicmeasure.cli as cli
+import dyadicmeasure.masses as masses
+from dyadicmeasure.dyadic import DyadicMass
 from dyadicmeasure.errors import AdditivityViolation
 
 T1_BASIS = "# first three insertions\n(0,2)\n(1,3)\n\n(9/4,11/4)\n"
@@ -188,6 +190,19 @@ def test_partition_depth_too_small(capsys):
     assert "m=4" in err
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["schedule"], ["verify"], ["partition", "1/8"]],
+    ids=["schedule", "verify", "partition"],
+)
+@pytest.mark.parametrize("depth", ["0", "-1"])
+def test_depth_below_one_is_a_config_error(capsys, command, depth):
+    code, out, err = run(capsys, *command, "--depth", depth)
+    assert code == 2
+    assert out == ""
+    assert f"config error: --depth must be >= 1, got {depth}" in err
+
+
 # -- failure plumbing ---------------------------------------------------------
 
 
@@ -235,3 +250,25 @@ def test_violation_default_artifact_path(capsys, tmp_path, monkeypatch):
     code, _, err = run(capsys, "verify", "--adapter", "cantor", "--depth", "2")
     assert code == 3
     assert (tmp_path / cli.VIOLATION_ARTIFACT).exists()
+
+
+def test_consistency_violation_writes_artifact(capsys, tmp_path, monkeypatch):
+    # a doctored kappa that drifts with the stage index: the consistency
+    # suite's re-evaluation at later stages then sees the mass move
+    exact = masses.kappa
+
+    def drifting(stage, d):
+        return exact(stage, d) + DyadicMass.pow2(stage.index + 1)
+
+    monkeypatch.setattr(masses, "kappa", drifting)
+    target = tmp_path / "violation.json"
+    code, out, err = run(
+        capsys, "verify", "--adapter", "cantor", "--depth", "2",
+        "--out", str(target),
+    )
+    assert code == 3
+    assert out == ""
+    assert "verification violation: mass of" in err
+    artifact = json.loads(target.read_text(encoding="utf-8"))
+    assert artifact["error"] == "ConsistencyViolation"
+    assert "moved from" in artifact["message"]
