@@ -46,7 +46,6 @@ from .errors import (
     DecayViolation,
     DuplicateInsertion,
     DyadicMeasureError,
-    EmptyRegion,
     EmptyStage,
     InfeasibleCover,
     InsufficientDepth,
@@ -74,7 +73,6 @@ from .scheduling import (
     Trace,
     build_schedule,
     cover_union,
-    permuted_stream,
 )
 from .stages import (
     Cell,
@@ -82,11 +80,7 @@ from .stages import (
     Stage,
     StageBuilder,
     StepRecord,
-    build_stages,
-    classify,
     decompose,
-    init_stage,
-    refine,
     ring_difference,
     ring_union,
 )

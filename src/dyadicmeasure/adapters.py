@@ -56,7 +56,6 @@ from typing import Iterable, Sequence
 
 from .errors import (
     DuplicateInsertion,
-    EmptyRegion,
     InfeasibleCover,
     InvariantViolation,
     NotABasisElement,
@@ -78,7 +77,6 @@ from .regions import (
     line_meet,
     line_meet_exterior,
     line_region,
-    line_regularize,
     line_subset,
     line_union,
 )
@@ -264,9 +262,6 @@ class SpaceAdapter:
     def meet_exterior(self, a: object, v: BasisHandle) -> object:
         raise NotImplementedError
 
-    def regularize(self, a: object) -> object:
-        raise NotImplementedError
-
     def closure_strictly_inside(self, a: object, b: object) -> bool:
         raise NotImplementedError
 
@@ -285,10 +280,6 @@ class SpaceAdapter:
     def contains_point(self, a: object, point: object) -> bool:
         raise NotImplementedError
 
-    @property
-    def empty_region(self) -> object:
-        raise NotImplementedError
-
     def parse_region(self, text: str) -> object:
         raise NotImplementedError
 
@@ -296,26 +287,6 @@ class SpaceAdapter:
         raise NotImplementedError
 
     # scans ----------------------------------------------------------------
-
-    def find_hole(
-        self,
-        u: object,
-        forbidden: frozenset[int] | set[int] = frozenset(),
-        min_index: int = 1,
-        scan_cap: int = DEFAULT_SCAN_CAP,
-    ) -> BasisHandle:
-        """Least-index basis element whose closure sits strictly inside u."""
-        if getattr(u, "is_empty", False):
-            raise EmptyRegion("find_hole needs a nonempty region")
-        for k in range(min_index, min_index + scan_cap):
-            if k in forbidden:
-                continue
-            h = self.enumerate(k)
-            if self.closure_strictly_inside(h.region, u):
-                return h
-        raise ScanExhausted(
-            f"no hole inside {u!r} within {scan_cap} indices from {min_index}"
-        )
 
     def finite_subcover(
         self,
@@ -504,12 +475,9 @@ class _LineStream:
             pos = self._position.get(region)
             if pos is not None:
                 return pos
-        pos = self._position.get(region)
-        if pos is None:
-            raise InvariantViolation(
-                f"canonical line order failed to reach {region!r}"
-            )
-        return pos
+        raise InvariantViolation(
+            f"canonical line order failed to reach {region!r}"
+        )
 
 
 class RationalLine(SpaceAdapter):
@@ -546,9 +514,6 @@ class RationalLine(SpaceAdapter):
     def meet_exterior(self, a: object, v) -> object:
         return line_meet_exterior(a, v.region if isinstance(v, BasisHandle) else v)
 
-    def regularize(self, a: object) -> object:
-        return line_regularize(a)
-
     def closure_strictly_inside(self, a: object, b: object) -> bool:
         return line_closure_strictly_inside(a, b)
 
@@ -567,10 +532,6 @@ class RationalLine(SpaceAdapter):
 
     def contains_point(self, a: object, point: object) -> bool:
         return line_contains_point(a, point)
-
-    @property
-    def empty_region(self) -> object:
-        return line_region(())
 
     def parse_region(self, text: str) -> object:
         body = text.strip()
@@ -615,11 +576,6 @@ class CantorSpace(SpaceAdapter):
         w = v.region if isinstance(v, BasisHandle) else v
         return cantor_meet(a, cantor_complement(w))
 
-    def regularize(self, a: object) -> object:
-        # cylinders are clopen, every region already equals the interior of
-        # its closure
-        return a
-
     def closure_strictly_inside(self, a: object, b: object) -> bool:
         return cantor_closure_strictly_inside(a, b)
 
@@ -637,10 +593,6 @@ class CantorSpace(SpaceAdapter):
 
     def contains_point(self, a: object, point: object) -> bool:
         return cantor_contains_point(a, point)
-
-    @property
-    def empty_region(self) -> object:
-        return cantor_region(())
 
     def parse_region(self, text: str) -> object:
         body = text.strip()

@@ -123,6 +123,12 @@ def _cmd_verify(args: argparse.Namespace) -> dict:
     _check_depth(args.depth)
     adapter = _make_adapter(args)
     schedule, trace = build_schedule(adapter, args.depth, args.scan_cap)
+    sampled = trace.stage_at(min(12, len(trace)))
+    if len(sampled.cells) < 2:
+        raise ConfigError(
+            f"additivity sampling needs >= 2 cells, but stage {sampled.index} "
+            f"has {len(sampled.cells)}; use a deeper --depth"
+        )
     certificates = [
         certify_boundary(schedule, trace, i).to_json()
         for i in sorted({b.i for b in schedule.blocks})
@@ -132,11 +138,7 @@ def _cmd_verify(args: argparse.Namespace) -> dict:
         for m in range(1, args.depth + 1)
     ]
     reports = [check_conservation(trace).to_json()]
-    reports.append(
-        check_additivity(
-            trace.stage_at(min(12, len(trace))), 1000, seed=args.seed
-        ).to_json()
-    )
+    reports.append(check_additivity(sampled, 1000, seed=args.seed).to_json())
     reports.append(
         check_consistency(
             list(trace.stages(1, min(8, len(trace)))), 50, seed=args.seed

@@ -32,10 +32,6 @@ class NotABasisElement(DyadicMeasureError):
     """Region is not a member of the adapter's enumerated basis."""
 
 
-class EmptyRegion(DyadicMeasureError):
-    """An operation that needs a nonempty open region received an empty one."""
-
-
 class ScanExhausted(DyadicMeasureError):
     """A basis scan hit its cap before finding an admissible element."""
 

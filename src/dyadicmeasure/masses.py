@@ -15,13 +15,10 @@ from .dyadic import DyadicMass, ZERO, dyadic_sum
 from .errors import ConsistencyViolation, EmptyStage, StageMismatch, UnknownCell
 from .stages import RingElement, Signature, Stage, decompose
 
-# The empty set is a legal argument to mu alongside cell signatures.
-EMPTY_SET = None
-
 
 def mu(stage: Stage, signature: Signature | None) -> DyadicMass:
     """Mass of one cell by signature; the empty set has mass zero."""
-    if signature is EMPTY_SET:
+    if signature is None:
         return ZERO
     return stage.cell_for_signature(tuple(signature)).mass
 

@@ -3,7 +3,7 @@
 A line region is a finite union of open intervals with rational endpoints,
 stored sorted and pairwise disjoint.  Intervals that share only an endpoint
 are kept separate: (0,1) union (1,2) misses the point 1 and is a different
-set from (0,2).  ``regularize`` is the operation that heals such pinholes.
+set from (0,2).
 
 A Cantor-space region is a finite union of cylinders, stored as the unique
 canonical antichain of binary prefixes: no member is a prefix of another and
@@ -132,20 +132,6 @@ def line_union(x: LineRegion, y: LineRegion) -> LineRegion:
     return line_region(list(x.parts) + list(y.parts))
 
 
-def line_regularize(x: LineRegion) -> LineRegion:
-    """Interior of the closure: merge intervals that touch at endpoints."""
-    if not x.parts:
-        return x
-    merged: list[Interval] = [x.parts[0]]
-    for lo, hi in x.parts[1:]:
-        last_lo, last_hi = merged[-1]
-        if lo <= last_hi:
-            merged[-1] = (last_lo, max(last_hi, hi))
-        else:
-            merged.append((lo, hi))
-    return LineRegion(tuple(merged))
-
-
 def line_subset(x: LineRegion, y: LineRegion) -> bool:
     """x subset of y.  Each x part must sit inside a single y part: y parts
     that merely touch leave the shared endpoint uncovered."""
@@ -203,10 +189,6 @@ class CantorRegion:
     @property
     def is_empty(self) -> bool:
         return not self.prefixes
-
-    @property
-    def is_everything(self) -> bool:
-        return self.prefixes == ("",)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CantorRegion):

@@ -280,8 +280,3 @@ def cover_union(
         h.region for h in schedule.cover_handles(i, j)
     )
     return decompose(region, stage)
-
-
-def permuted_stream(schedule: Schedule) -> tuple[BasisHandle, ...]:
-    """The insertion order as basis handles; a permutation of 1..g(depth)."""
-    return schedule.stream

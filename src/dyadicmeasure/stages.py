@@ -14,9 +14,14 @@ Mass bookkeeping follows the halving rules exactly:
 * the part of the new set outside the closures of everything inserted
   before it, when nonempty, becomes a fresh cell with mass 2**-k at stage k.
 
-``StageBuilder`` is the mutable engine used for long runs; ``refine`` and
-``init_stage`` wrap it in a pure interface that returns immutable ``Stage``
-snapshots.
+``StageBuilder`` is the insertion engine; ``snapshot`` returns an
+immutable ``Stage``.  The geometry of each space sits behind one cell
+index, ``_LineCells`` or ``_CantorCells``, picked from the adapter's name.
+It finds the cells an insertion splits and the host cell of a candidate
+hole, carves the part of a new set outside the closure of everything
+inserted before, and writes a region as whole cells for ``decompose``.  A
+builder keeps its index up to date; a ``Stage`` builds one from its own
+cells the first time ``decompose`` needs it.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
+from operator import itemgetter, or_, sub
 
 from sortedcontainers import SortedList
 
@@ -32,7 +37,6 @@ from .adapters import BasisHandle, BoundaryDescriptor, SpaceAdapter
 from .dyadic import DyadicMass, ZERO, dyadic_sum
 from .errors import (
     DuplicateInsertion,
-    EmptyStage,
     InvariantViolation,
     NotRepresentable,
     StageMismatch,
@@ -69,15 +73,6 @@ class Cell:
 
 
 @dataclass(frozen=True)
-class Classification:
-    """Outcome of inserting v into a single cell."""
-
-    kind: str  # "persist_exterior" | "persist_inside" | "split"
-    in_region: object | None = None
-    ext_region: object | None = None
-
-
-@dataclass(frozen=True)
 class StepRecord:
     """Exact mass accounting for one insertion, kept for long traces."""
 
@@ -101,8 +96,7 @@ class Stage:
         "adapter",
         "_sig_cache",
         "_sig_map",
-        "_line_parts",
-        "_cantor_members",
+        "_index",
     )
 
     def __init__(
@@ -124,8 +118,7 @@ class Stage:
         self.adapter = adapter
         self._sig_cache: dict[int, Signature] = {}
         self._sig_map: dict[Signature, int] | None = None
-        self._line_parts = None
-        self._cantor_members = None
+        self._index = None
 
     def __repr__(self) -> str:
         return (
@@ -165,25 +158,13 @@ class Stage:
             )
         return self.cells[cid]
 
-    # geometric indexes, built lazily for decomposition ------------------
-
-    def _parts_index(self) -> SortedList:
-        if self._line_parts is None:
-            idx = SortedList()
-            for cid, cell in self.cells.items():
-                for lo, hi in cell.region.parts:
-                    idx.add((lo, hi, cid))
-            self._line_parts = idx
-        return self._line_parts
-
-    def _members_index(self) -> dict[str, int]:
-        if self._cantor_members is None:
-            self._cantor_members = {
-                p: cid
-                for cid, cell in self.cells.items()
-                for p in cell.region.prefixes
-            }
-        return self._cantor_members
+    def _cell_index(self):
+        """The cell index of this stage, built on first use, never copied."""
+        if self._index is None:
+            self._index = _CELL_INDEXES[self.adapter.name](
+                self.adapter, self.cells
+            )
+        return self._index
 
 
 @dataclass(frozen=True)
@@ -224,28 +205,24 @@ def _check_stage(d: RingElement, stage: Stage) -> None:
             raise UnknownCell(f"cell {cid} is not a cell of stage {stage.index}")
 
 
-def ring_union(d1: RingElement, d2: RingElement) -> RingElement:
+def _combine(d1: RingElement, d2: RingElement, op) -> RingElement:
     if d1.stage_index != d2.stage_index:
         raise StageMismatch(
             f"cannot combine stages {d1.stage_index} and {d2.stage_index}"
         )
     return RingElement(
         d1.stage_index,
-        d1.open_cells | d2.open_cells,
-        d1.boundary_points | d2.boundary_points,
+        op(d1.open_cells, d2.open_cells),
+        op(d1.boundary_points, d2.boundary_points),
     )
+
+
+def ring_union(d1: RingElement, d2: RingElement) -> RingElement:
+    return _combine(d1, d2, or_)
 
 
 def ring_difference(d1: RingElement, d2: RingElement) -> RingElement:
-    if d1.stage_index != d2.stage_index:
-        raise StageMismatch(
-            f"cannot combine stages {d1.stage_index} and {d2.stage_index}"
-        )
-    return RingElement(
-        d1.stage_index,
-        d1.open_cells - d2.open_cells,
-        d1.boundary_points - d2.boundary_points,
-    )
+    return _combine(d1, d2, sub)
 
 
 class _SpanIndex:
@@ -310,174 +287,114 @@ class _SpanIndex:
         return out
 
 
-def classify(cell: Cell, v: BasisHandle, adapter: SpaceAdapter) -> Classification:
-    """How one insertion acts on one cell."""
-    in_region = adapter.meet(cell.region, v.region)
-    if in_region.is_empty:
-        return Classification("persist_exterior")
-    ext_region = adapter.meet_exterior(cell.region, v)
-    if ext_region.is_empty:
-        return Classification("persist_inside")
-    return Classification("split", in_region, ext_region)
-
-
 def _span_entry(cid: int, region: LineRegion) -> tuple:
     lo = region.parts[0][0]
     hi = region.parts[-1][1]
     return (float(lo), lo, float(hi), hi, cid)
 
 
-class StageBuilder:
-    """Mutable insertion engine with per-space geometric indexes."""
+class _LineCells:
+    """Cell index of the rational line.
 
-    def __init__(self, adapter: SpaceAdapter) -> None:
-        self.adapter = adapter
-        self._is_line = adapter.name == "rational-line"
-        self.inserted: list[BasisHandle] = []
-        self._inserted_regions: set = set()
-        self.cells: dict[int, Cell] = {}
-        self.total = ZERO
-        self.boundary_points: set = set()
-        self.boundary_descriptors: list[BoundaryDescriptor] = []
-        self.records: list[StepRecord] = []
-        self._next_id = 1
-        if self._is_line:
-            # (lo_float, lo, hi_float, hi, cell_id); parts disjoint
-            self._parts = SortedList()
-            self._spans = _SpanIndex()  # cells with two or more parts
-            self._closures = SortedList()  # merged closed intervals (lo, hi)
-        else:
-            self._members: dict[str, int] = {}
-            self._member_keys = SortedList()
-            self._covered = cantor_region(())
+    Cell parts sit in one sorted list as ``(lo_float, lo, hi_float, hi,
+    cell_id)``; parts are disjoint.  Cells with two or more parts also sit
+    in a ``_SpanIndex``.  The closures of the inserted intervals are kept
+    merged, as sorted closed intervals ``(lo, hi)``; an index built from a
+    stage's cells has none.  Floats guard the exact comparisons: float
+    conversion of a rational is monotone, so strict float inequality
+    already decides, and only float ties pay for exact arithmetic.
+    """
 
-    @classmethod
-    def from_stage(cls, stage: Stage) -> "StageBuilder":
-        b = cls(stage.adapter)
-        b.inserted = list(stage.inserted)
-        b._inserted_regions = {h.region for h in stage.inserted}
-        b.cells = dict(stage.cells)
-        b.total = stage.total_mass
-        b.boundary_points = set(stage.boundary_points)
-        b.boundary_descriptors = list(stage.boundary_descriptors)
-        b._next_id = max(stage.cells, default=0) + 1
-        for cid, cell in stage.cells.items():
-            b._register(cid, cell.region)
-        if b._is_line:
-            for h in stage.inserted:
-                b._absorb_closure(h.region)
-        else:
-            for h in stage.inserted:
-                b._covered = b.adapter.union(b._covered, h.region)
-        return b
+    def __init__(self, adapter: SpaceAdapter, cells: dict[int, Cell]) -> None:
+        self.cells = cells
+        self._parts = SortedList(
+            (float(lo), lo, float(hi), hi, cid)
+            for cid, cell in cells.items()
+            for lo, hi in cell.region.parts
+        )
+        self._spans = _SpanIndex()  # cells with two or more parts
+        for cid, cell in cells.items():
+            if len(cell.region.parts) > 1:
+                self._spans.add(_span_entry(cid, cell.region))
+        self._closures = SortedList()
 
-    @property
-    def count(self) -> int:
-        return len(self.inserted)
+    def add(self, cid: int, region: LineRegion) -> None:
+        for lo, hi in region.parts:
+            self._parts.add((float(lo), lo, float(hi), hi, cid))
+        if len(region.parts) > 1:
+            self._spans.add(_span_entry(cid, region))
 
-    # geometric index maintenance ----------------------------------------
+    def remove(self, cid: int, region: LineRegion) -> None:
+        for lo, hi in region.parts:
+            self._parts.remove((float(lo), lo, float(hi), hi, cid))
+        if len(region.parts) > 1:
+            self._spans.remove(_span_entry(cid, region))
 
-    def _register(self, cid: int, region) -> None:
-        if self._is_line:
-            for lo, hi in region.parts:
-                self._parts.add((float(lo), lo, float(hi), hi, cid))
-            if len(region.parts) > 1:
-                self._spans.add(_span_entry(cid, region))
-        else:
-            for p in region.prefixes:
-                self._members[p] = cid
-                self._member_keys.add(p)
+    def split_cells(self, region: LineRegion) -> list[int]:
+        """Ids of the cells the insertion of region splits, ascending.
 
-    def _unregister(self, cid: int, region) -> None:
-        if self._is_line:
-            for lo, hi in region.parts:
-                self._parts.remove((float(lo), lo, float(hi), hi, cid))
-            if len(region.parts) > 1:
-                self._spans.remove(_span_entry(cid, region))
-        else:
-            for p in region.prefixes:
-                del self._members[p]
-                self._member_keys.remove(p)
-
-    def _affected_cells(self, region) -> list[int]:
-        """Ids of the cells the insertion may split, ascending.
-
-        On Cantor space these are all cells meeting the new cylinder, and
-        ``insert`` skips the ones lying inside it.  On the line they are
-        exactly the cells that split, that is, the cells meeting the new
-        interval (a, b) that also have points outside [a, b].  Such a cell
-        has a part straddling a or b, or it has several parts, its span
-        (first lo to last hi) strictly contains a or b, and one of its
-        parts meets (a, b).  The two bisects at a and b find the straddling
-        parts, and the span index answers the rest: a stab at a point scans
-        the entries of every span block whose largest hi passes it, which
-        is far fewer than the parts inside a wide interval, though not
-        bounded by the cells it returns.  Floats guard the exact
-        comparisons: float conversion of a rational is monotone, so strict
-        float inequality already decides, and only float ties pay for exact
-        arithmetic.
+        These are the cells meeting the new interval (a, b) that also have
+        points outside [a, b].  Such a cell has a part straddling a or b,
+        or it has several parts, its span (first lo to last hi) strictly
+        contains a or b, and one of its parts meets (a, b).  The two
+        bisects at a and b find the straddling parts, and the span index
+        answers the rest: a stab at a point scans the entries of every span
+        block whose largest hi passes it, which is far fewer than the parts
+        inside a wide interval, though not bounded by the cells it returns.
         """
         seen: set[int] = set()
-        if self._is_line:
-            a, b = region.parts[0]
-            a_f, b_f = float(a), float(b)
-            parts = self._parts
-            start = parts.bisect_left((a_f, a))
-            stop = parts.bisect_left((b_f, b))
-            if start > 0:
-                _, _, hi_f, hi, cid = parts[start - 1]
-                # parts are disjoint, so at most this one contains a
-                if hi_f > a_f or (hi_f == a_f and hi > a):
-                    seen.add(cid)
-            # with no part starting in [a, b), only the straddler of a
-            # meets (a, b)
-            if stop > start:
-                _, _, hi_f, hi, cid = parts[stop - 1]
-                if hi_f > b_f or (hi_f == b_f and hi > b):
-                    seen.add(cid)  # straddles b
-                for x_f, x in ((a_f, a), (b_f, b)):
-                    for cid in self._spans.stab(x_f, x):
-                        if cid in seen:
-                            continue
-                        cell_parts = self.cells[cid].region.parts
-                        # the span ends past a, so some part does; the
-                        # first such part meets (a, b) if it starts before b
-                        k = bisect_right(cell_parts, a, key=itemgetter(1))
-                        if cell_parts[k][0] < b:
-                            seen.add(cid)
-        else:
-            w = region.prefixes[0]
-            for i in range(len(w) + 1):
-                cid = self._members.get(w[:i])
-                if cid is not None:
-                    seen.add(cid)
-            for key in self._member_keys.irange(w, w + "2", inclusive=(True, False)):
-                seen.add(self._members[key])
+        a, b = region.parts[0]
+        a_f, b_f = float(a), float(b)
+        parts = self._parts
+        start = parts.bisect_left((a_f, a))
+        stop = parts.bisect_left((b_f, b))
+        if start > 0:
+            _, _, hi_f, hi, cid = parts[start - 1]
+            # parts are disjoint, so at most this one contains a
+            if hi_f > a_f or (hi_f == a_f and hi > a):
+                seen.add(cid)
+        # with no part starting in [a, b), only the straddler of a meets
+        # (a, b)
+        if stop > start:
+            _, _, hi_f, hi, cid = parts[stop - 1]
+            if hi_f > b_f or (hi_f == b_f and hi > b):
+                seen.add(cid)  # straddles b
+            for x_f, x in ((a_f, a), (b_f, b)):
+                for cid in self._spans.stab(x_f, x):
+                    if cid in seen:
+                        continue
+                    cell_parts = self.cells[cid].region.parts
+                    # the span ends past a, so some part does; the first
+                    # such part meets (a, b) if it starts before b
+                    k = bisect_right(cell_parts, a, key=itemgetter(1))
+                    if cell_parts[k][0] < b:
+                        seen.add(cid)
         return sorted(seen)
 
-    def locate_host(self, region) -> int | None:
-        """Cell id strictly containing the closure of region, if any."""
-        if self._is_line:
-            a, b = region.parts[0]
-            idx = self._parts.bisect_left((float(a), a))
-            if idx == 0:
-                return None
-            _, lo, _, hi, cid = self._parts[idx - 1]
-            if lo < a and b < hi:
-                return cid
+    def locate_host(self, region: LineRegion) -> int | None:
+        a, b = region.parts[0]
+        idx = self._parts.bisect_left((float(a), a))
+        if idx == 0:
             return None
-        w = region.prefixes[0]
-        for i in range(len(w) + 1):
-            cid = self._members.get(w[:i])
-            if cid is None:
-                continue
-            cell = self.cells[cid]
-            if len(w) > len(w[:i]) or len(cell.region.prefixes) > 1:
-                return cid
-            return None
+        _, lo, _, hi, cid = self._parts[idx - 1]
+        if lo < a and b < hi:
+            return cid
         return None
 
-    def _absorb_closure(self, region) -> None:
+    def new_region(self, region: LineRegion) -> LineRegion:
+        a, b = region.parts[0]
+        overlapping = []
+        idx = self._closure_scan_start(a)
+        while idx < len(self._closures):
+            clo, chi = self._closures[idx]
+            if clo >= b:
+                break
+            if chi > a:
+                overlapping.append((clo, chi))
+            idx += 1
+        return line_minus_closure(region, overlapping)
+
+    def absorb(self, region: LineRegion) -> None:
         a, b = region.parts[0]
         lo, hi = a, b
         doomed = []
@@ -501,23 +418,193 @@ class StageBuilder:
             idx -= 1
         return idx
 
-    def _new_region(self, region):
-        """Part of region outside the closure of everything inserted before."""
-        if self._is_line:
-            a, b = region.parts[0]
-            overlapping = []
-            idx = self._closure_scan_start(a)
-            while idx < len(self._closures):
-                clo, chi = self._closures[idx]
-                if clo >= b:
+    def decompose(self, region: LineRegion, stage: Stage) -> RingElement:
+        parts = self._parts
+        cells_in: set[int] = set()
+        residue: set[Fraction] = set()
+        for p, q in region.parts:
+            idx = parts.bisect_left((float(p), p))
+            if idx > 0 and parts[idx - 1][3] > p:
+                raise NotRepresentable(
+                    f"a cell straddles the left endpoint {p} of {region!r}"
+                )
+            cursor = p
+            while idx < len(parts):
+                _, lo, _, hi, cid = parts[idx]
+                if lo >= q:
                     break
-                if chi > a:
-                    overlapping.append((clo, chi))
+                if lo > cursor:
+                    raise NotRepresentable(
+                        f"the open gap ({cursor},{lo}) of {region!r} is "
+                        f"covered by no cell at stage {stage.index}"
+                    )
+                if cursor != p:
+                    residue.add(cursor)
+                if hi > q:
+                    raise NotRepresentable(
+                        f"a cell straddles the right endpoint {q} of {region!r}"
+                    )
+                cells_in.add(cid)
+                cursor = hi
                 idx += 1
-            return line_minus_closure(region, overlapping)
+            if cursor != q:
+                raise NotRepresentable(
+                    f"the open gap ({cursor},{q}) of {region!r} is covered by "
+                    f"no cell at stage {stage.index}"
+                )
+        for cid in cells_in:
+            if not line_subset(self.cells[cid].region, region):
+                raise NotRepresentable(
+                    f"cell {cid} pokes outside {region!r} at stage {stage.index}"
+                )
+        for point in residue:
+            if point not in stage.boundary_points:
+                raise NotRepresentable(
+                    f"residue point {point} is not an inserted boundary point"
+                )
+        return RingElement(stage.index, frozenset(cells_in), frozenset(residue))
+
+
+class _CantorCells:
+    """Cell index of Cantor space.
+
+    Every prefix of every cell maps to its cell, and the prefixes sit in a
+    sorted list, so the prefixes under w are one range of it.  Cells are
+    disjoint, so all their prefixes together form an antichain.  The union
+    of the inserted cylinders is kept as one region; an index built from a
+    stage's cells has it empty.
+    """
+
+    def __init__(self, adapter: SpaceAdapter, cells: dict[int, Cell]) -> None:
+        self.adapter = adapter
+        self.cells = cells
+        self._members: dict[str, int] = {
+            p: cid for cid, cell in cells.items() for p in cell.region.prefixes
+        }
+        self._keys = SortedList(self._members)
+        self._covered = cantor_region(())
+
+    def add(self, cid: int, region: CantorRegion) -> None:
+        for p in region.prefixes:
+            self._members[p] = cid
+            self._keys.add(p)
+
+    def remove(self, cid: int, region: CantorRegion) -> None:
+        for p in region.prefixes:
+            del self._members[p]
+            self._keys.remove(p)
+
+    def _holder(self, w: str) -> int | None:
+        """The cell with a prefix of w (w itself included), if any.
+
+        The prefixes form an antichain, so at most one of them is a prefix
+        of w, and the cylinder w lies inside that cell.
+        """
+        for i in range(len(w) + 1):
+            cid = self._members.get(w[:i])
+            if cid is not None:
+                return cid
+        return None
+
+    def _under(self, w: str):
+        """Prefixes that have w as a prefix, w included, ascending."""
+        return self._keys.irange(w, w + "2", inclusive=(True, False))
+
+    def split_cells(self, region: CantorRegion) -> list[int]:
+        """Ids of the cells the insertion of cylinder w splits, ascending.
+
+        A cell splits exactly when one of its prefixes is a proper prefix
+        of w, or when it has one prefix under w and another prefix that is
+        not under w.  A cell holding a prefix of w contains the cylinder w
+        and is the only cell meeting it; it splits unless it is w itself.
+        """
+        w = region.prefixes[0]
+        cid = self._holder(w)
+        if cid is not None:
+            return [] if self.cells[cid].region.prefixes == (w,) else [cid]
+        meeting = {self._members[key] for key in self._under(w)}
+        return sorted(
+            cid
+            for cid in meeting
+            if not all(p.startswith(w) for p in self.cells[cid].region.prefixes)
+        )
+
+    def locate_host(self, region: CantorRegion) -> int | None:
+        w = region.prefixes[0]
+        cid = self._holder(w)
+        if cid is None or self.cells[cid].region.prefixes == (w,):
+            return None
+        return cid
+
+    def new_region(self, region: CantorRegion) -> CantorRegion:
         return cantor_minus(region, self._covered)
 
-    # insertion -----------------------------------------------------------
+    def absorb(self, region: CantorRegion) -> None:
+        self._covered = self.adapter.union(self._covered, region)
+
+    def decompose(self, region: CantorRegion, stage: Stage) -> RingElement:
+        # a cell holding a proper prefix of q has no prefix under q, so the
+        # coverage check below rejects the region
+        cells_in = {
+            self._members[key] for q in region.prefixes for key in self._under(q)
+        }
+        covered: list[str] = []
+        for cid in cells_in:
+            cell = self.cells[cid]
+            if not self.adapter.subset(cell.region, region):
+                raise NotRepresentable(
+                    f"cell {cid} pokes outside {region!r} at stage {stage.index}"
+                )
+            covered.extend(cell.region.prefixes)
+        if cantor_region(covered) != region:
+            raise NotRepresentable(
+                f"{region!r} is not a union of stage-{stage.index} cells"
+            )
+        return RingElement(stage.index, frozenset(cells_in), frozenset())
+
+
+# adapter name -> cell index class
+_CELL_INDEXES = {"rational-line": _LineCells, "cantor": _CantorCells}
+
+
+class StageBuilder:
+    """Mutable insertion engine over the cell index of its space."""
+
+    def __init__(self, adapter: SpaceAdapter) -> None:
+        self.adapter = adapter
+        self.inserted: list[BasisHandle] = []
+        self._inserted_regions: set = set()
+        self.cells: dict[int, Cell] = {}
+        self.total = ZERO
+        self.boundary_points: set = set()
+        self.boundary_descriptors: list[BoundaryDescriptor] = []
+        self.records: list[StepRecord] = []
+        self._next_id = 1
+        self._index_cls = _CELL_INDEXES[adapter.name]
+        self._index = self._index_cls(adapter, self.cells)
+
+    @classmethod
+    def from_stage(cls, stage: Stage) -> "StageBuilder":
+        b = cls(stage.adapter)
+        b.inserted = list(stage.inserted)
+        b._inserted_regions = {h.region for h in stage.inserted}
+        b.cells = dict(stage.cells)
+        b.total = stage.total_mass
+        b.boundary_points = set(stage.boundary_points)
+        b.boundary_descriptors = list(stage.boundary_descriptors)
+        b._next_id = max(stage.cells, default=0) + 1
+        b._index = b._index_cls(b.adapter, b.cells)
+        for h in stage.inserted:
+            b._index.absorb(h.region)
+        return b
+
+    @property
+    def count(self) -> int:
+        return len(self.inserted)
+
+    def locate_host(self, region) -> int | None:
+        """Cell id strictly containing the closure of region, if any."""
+        return self._index.locate_host(region)
 
     def insert(self, handle: BasisHandle) -> None:
         if handle.region in self._inserted_regions:
@@ -526,31 +613,30 @@ class StageBuilder:
             )
         k = len(self.inserted) + 1
         splits = 0
-        for cid in self._affected_cells(handle.region):
+        for cid in self._index.split_cells(handle.region):
             cell = self.cells[cid]
+            # split_cells returns only cells that split, so neither
+            # continue should ever fire
             in_region = self.adapter.meet(cell.region, handle.region)
             if in_region.is_empty:
                 continue
             ext_region = self.adapter.meet_exterior(cell.region, handle)
             if ext_region.is_empty:
-                continue  # persists inside, nothing changes
-            self._unregister(cid, cell.region)
+                continue
+            self._index.remove(cid, cell.region)
             del self.cells[cid]
             half = cell.mass.halve()
             for piece in (in_region, ext_region):
                 self._spawn(piece, half, "split", cid, k)
             splits += 1
-        fresh = self._new_region(handle.region)
+        fresh = self._index.new_region(handle.region)
         grant = None
         if not fresh.is_empty:
             grant = DyadicMass.pow2(k)
             kind = "root" if k == 1 else "new_region"
             self._spawn(fresh, grant, kind, None, k)
             self.total = self.total + grant
-        if self._is_line:
-            self._absorb_closure(handle.region)
-        else:
-            self._covered = self.adapter.union(self._covered, handle.region)
+        self._index.absorb(handle.region)
         descriptor = self.adapter.boundary(handle)
         self.boundary_descriptors.append(descriptor)
         self.boundary_points.update(descriptor.points)
@@ -565,7 +651,7 @@ class StageBuilder:
         cid = self._next_id
         self._next_id += 1
         self.cells[cid] = Cell(cid, region, mass, kind, parent, birth)
-        self._register(cid, region)
+        self._index.add(cid, region)
 
     def snapshot(self) -> Stage:
         audit = dyadic_sum(c.mass for c in self.cells.values())
@@ -585,33 +671,6 @@ class StageBuilder:
         )
 
 
-def init_stage(adapter: SpaceAdapter, v1: BasisHandle) -> Stage:
-    """Stage 1: the root cell with mass 1/2."""
-    builder = StageBuilder(adapter)
-    builder.insert(v1)
-    return builder.snapshot()
-
-
-def refine(stage: Stage, v: BasisHandle) -> Stage:
-    """Pure insertion step: returns the next stage, leaving stage intact."""
-    builder = StageBuilder.from_stage(stage)
-    builder.insert(v)
-    return builder.snapshot()
-
-
-def build_stages(adapter: SpaceAdapter, handles) -> list[Stage]:
-    """Insert handles in order, snapshotting after each step."""
-    builder = StageBuilder(adapter)
-    out = []
-    for h in handles:
-        builder.insert(h)
-        out.append(builder.snapshot())
-    return out
-
-
-# -- decomposition ------------------------------------------------------------
-
-
 def decompose(region, stage: Stage) -> RingElement:
     """Write region as whole cells plus finitely many boundary points.
 
@@ -620,82 +679,4 @@ def decompose(region, stage: Stage) -> RingElement:
     """
     if getattr(region, "is_empty", False):
         return RingElement(stage.index, frozenset(), frozenset())
-    if isinstance(region, LineRegion):
-        return _decompose_line(region, stage)
-    return _decompose_cantor(region, stage)
-
-
-def _decompose_line(region: LineRegion, stage: Stage) -> RingElement:
-    parts = stage._parts_index()
-    cells_in: set[int] = set()
-    residue: set[Fraction] = set()
-    for p, q in region.parts:
-        idx = parts.bisect_left((p,))
-        if idx > 0 and parts[idx - 1][1] > p:
-            raise NotRepresentable(
-                f"a cell straddles the left endpoint {p} of {region!r}"
-            )
-        cursor = p
-        while idx < len(parts):
-            lo, hi, cid = parts[idx]
-            if lo >= q:
-                break
-            if lo > cursor:
-                raise NotRepresentable(
-                    f"the open gap ({cursor},{lo}) of {region!r} is covered "
-                    f"by no cell at stage {stage.index}"
-                )
-            if cursor != p:
-                residue.add(cursor)
-            if hi > q:
-                raise NotRepresentable(
-                    f"a cell straddles the right endpoint {q} of {region!r}"
-                )
-            cells_in.add(cid)
-            cursor = hi
-            idx += 1
-        if cursor != q:
-            raise NotRepresentable(
-                f"the open gap ({cursor},{q}) of {region!r} is covered by "
-                f"no cell at stage {stage.index}"
-            )
-    for cid in cells_in:
-        if not line_subset(stage.cells[cid].region, region):
-            raise NotRepresentable(
-                f"cell {cid} pokes outside {region!r} at stage {stage.index}"
-            )
-    for point in residue:
-        if point not in stage.boundary_points:
-            raise NotRepresentable(
-                f"residue point {point} is not an inserted boundary point"
-            )
-    return RingElement(stage.index, frozenset(cells_in), frozenset(residue))
-
-
-def _decompose_cantor(region: CantorRegion, stage: Stage) -> RingElement:
-    members = stage._members_index()
-    keys = sorted(members)
-    cells_in: set[int] = set()
-    for q in region.prefixes:
-        for i in range(len(q) + 1):
-            cid = members.get(q[:i])
-            if cid is not None:
-                cells_in.add(cid)
-        start = bisect_left(keys, q)
-        for key in keys[start:]:
-            if not key.startswith(q):
-                break
-            cells_in.add(members[key])
-    covered: list[str] = []
-    for cid in cells_in:
-        cell = stage.cells[cid]
-        if not stage.adapter.subset(cell.region, region):
-            raise NotRepresentable(
-                f"cell {cid} pokes outside {region!r} at stage {stage.index}"
-            )
-        covered.extend(cell.region.prefixes)
-    if cantor_region(covered) != region:
-        raise NotRepresentable(
-            f"{region!r} is not a union of stage-{stage.index} cells"
-        )
-    return RingElement(stage.index, frozenset(cells_in), frozenset())
+    return stage._cell_index().decompose(region, stage)

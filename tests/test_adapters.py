@@ -17,7 +17,6 @@ from dyadicmeasure.adapters import (
 )
 from dyadicmeasure.errors import (
     DuplicateInsertion,
-    EmptyRegion,
     InfeasibleCover,
     InvariantViolation,
     NotABasisElement,
@@ -171,41 +170,6 @@ def test_unknown_adapter_name():
 
 
 # -- scans --------------------------------------------------------------------
-
-
-def test_find_hole_picks_least_index(line):
-    h = line.find_hole(interval(0, 1))
-    assert h.index == 4
-    assert h.region == interval(F(1, 4), F(3, 4))
-
-
-def test_find_hole_respects_forbidden_and_min_index(line):
-    assert line.find_hole(interval(0, 1), forbidden={4}).index == 14
-    assert line.find_hole(interval(0, 1), min_index=5).index == 14
-
-
-def test_find_hole_result_sits_strictly_inside(line):
-    for region in (interval(0, 1), interval(-2, -1), interval(F(1, 3), F(2, 3))):
-        h = line.find_hole(region)
-        assert line.closure_strictly_inside(h.region, region)
-
-
-def test_find_hole_cantor(cantor):
-    assert cantor.find_hole(cantor.enumerate(1).region).index == 2
-    h = cantor.find_hole(cantor_region(["0"]))
-    assert h.index == 4
-    assert h.region == cantor_region(["00"])
-
-
-def test_find_hole_rejects_empty_region(line):
-    with pytest.raises(EmptyRegion):
-        line.find_hole(line.empty_region)
-
-
-def test_find_hole_scan_cap(line):
-    # none of the first three basis elements fits inside a sliver
-    with pytest.raises(ScanExhausted):
-        line.find_hole(interval(0, F(1, 1000)), scan_cap=3)
 
 
 def test_finite_subcover_unconstrained(line):

@@ -138,6 +138,15 @@ def test_verify_cantor(capsys):
     assert [d["m"] for d in payload["max_decay"]] == [1, 2]
 
 
+def test_verify_too_shallow_for_additivity(capsys):
+    # the depth-1 Cantor schedule has one stage with one cell
+    code, out, err = run(capsys, "verify", "--adapter", "cantor", "--depth", "1")
+    assert code == 2
+    assert out == ""
+    assert "config error" in err
+    assert "has 1;" in err and "deeper --depth" in err
+
+
 def test_verify_deterministic(capsys, tmp_path):
     paths = [tmp_path / "x.json", tmp_path / "y.json"]
     for path in paths:

@@ -1,12 +1,15 @@
 """Exact outputs pinned byte for byte.
 
-The golden files are the exact ``dyadicmeasure schedule --depth 4`` output
-for each adapter.  Together with the digest of the first 1,526 canonical
-line regions (the basis a depth-4 line schedule reaches, which the shadow
-insertion run of the enumeration shapes), they catch any change of an
-exact output in seconds.  Regenerate a golden file only when an output is
-meant to change: ``dyadicmeasure schedule --adapter A --depth 4 --out
-tests/golden/schedule-A-d4.json``.
+The golden files are the exact CLI output of these commands on each
+adapter: ``schedule --depth 4``, ``verify --depth 3``, ``partition 1/8``
+and ``build --stages 6 --format csv``.  The line partition certificate is
+324 KB, so only its sha256 is kept.  Together with the digest of the first
+1,526 canonical line regions (the basis a depth-4 line schedule reaches,
+which the shadow insertion run of the enumeration shapes), they run the
+insertion engine, ``decompose``, every certificate and the CSV export, and
+catch any change of an exact output in seconds.  Regenerate a golden file
+only when an output is meant to change, e.g. ``dyadicmeasure schedule
+--adapter A --depth 4 --out tests/golden/schedule-A-d4.json``.
 """
 
 from __future__ import annotations
@@ -26,6 +29,23 @@ LINE_REGIONS_1526 = (
     "9940b06acc8cbe9f65563628e9ecda03d38d5783aca46cba2a583ea42765be28"
 )
 
+# command -> (arguments, golden file name with {} for the adapter)
+COMMANDS = {
+    "verify": (["verify", "--depth", "3"], "verify-{}-d3.json"),
+    "partition": (["partition", "1/8"], "partition-{}-1_8.json"),
+    "build": (
+        ["build", "--stages", "6", "--format", "csv"],
+        "build-{}-s6.csv",
+    ),
+}
+
+# outputs too large to check in, pinned by sha256 instead
+DIGESTS = {
+    "partition-rational-line-1_8.json": (
+        "91e72b6720cba40b2a17af2c490add88ec1f660381d4ac92aa2f652f55267b02"
+    ),
+}
+
 
 @pytest.mark.parametrize("adapter", ["rational-line", "cantor"])
 def test_schedule_depth4_matches_golden(tmp_path, adapter):
@@ -36,6 +56,20 @@ def test_schedule_depth4_matches_golden(tmp_path, adapter):
     assert code == 0
     golden = GOLDEN / f"schedule-{adapter}-d4.json"
     assert out.read_bytes() == golden.read_bytes()
+
+
+@pytest.mark.parametrize("adapter", ["rational-line", "cantor"])
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_cli_output_matches_golden(tmp_path, command, adapter):
+    args, pattern = COMMANDS[command]
+    out = tmp_path / "output"
+    assert cli.main(args + ["--adapter", adapter, "--out", str(out)]) == 0
+    name = pattern.format(adapter)
+    if name in DIGESTS:
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == DIGESTS[name]
+    else:
+        assert out.read_bytes() == (GOLDEN / name).read_bytes()
 
 
 def test_first_line_regions_digest():

@@ -25,7 +25,6 @@ from dyadicmeasure.regions import (
     line_meet_exterior,
     line_minus_closure,
     line_region,
-    line_regularize,
     line_subset,
     line_union,
 )
@@ -73,12 +72,6 @@ def test_union_point_set_semantics():
     assert out.parts == ((F(0), F(1)), (F(1), F(2)))
     merged = line_union(interval(0, 1), interval(F(1, 2), 2))
     assert merged.parts == ((F(0), F(2)),)
-
-
-def test_regularize_heals_touching():
-    r = line_region([(F(0), F(1)), (F(1), F(2))])
-    assert line_regularize(r).parts == ((F(0), F(2)),)
-    assert line_regularize(LINE_EMPTY).is_empty
 
 
 def test_subset_respects_touching_gap():
@@ -187,13 +180,6 @@ def test_closure_strictly_inside_matches_endpoints(x, y):
     if x.is_empty:
         expected = not y.is_empty
     assert line_closure_strictly_inside(x, y) == expected
-
-
-@given(regions())
-def test_regularize_is_idempotent_and_grows(x):
-    r = line_regularize(x)
-    assert line_regularize(r) == r
-    assert line_subset(x, r)
 
 
 @given(regions(), regions())

@@ -6,11 +6,7 @@ from dyadicmeasure.adapters import make_adapter
 from dyadicmeasure.dyadic import DyadicMass
 from dyadicmeasure.errors import StageTooEarly
 from dyadicmeasure.masses import kappa
-from dyadicmeasure.scheduling import (
-    build_schedule,
-    cover_union,
-    permuted_stream,
-)
+from dyadicmeasure.scheduling import build_schedule, cover_union
 
 
 @pytest.fixture(scope="module")
@@ -158,11 +154,6 @@ def test_records_cover_every_position(line_d2):
     _, _, trace = line_d2
     assert [r.position for r in trace.records] == list(range(1, 27))
     assert trace.records[-1].total_after == trace.final.total_mass
-
-
-def test_permuted_stream_is_schedule_stream(line_d2):
-    _, schedule, _ = line_d2
-    assert permuted_stream(schedule) == schedule.stream
 
 
 # -- covers -------------------------------------------------------------------

@@ -1,14 +1,15 @@
 """Differential oracle for the cells an insertion splits.
 
-``StageBuilder.insert`` finds the cells it splits through geometric
-indexes: on the line two bisects of the cell parts at the ends of the
-new interval and a stabbing query on the spans of multi-part cells.
-The oracle here checks every cell of the stage with
-``meet`` and ``meet_exterior``: a cell splits exactly when both are
-nonempty.  Before each insertion the engine's candidate cells must
-include the oracle's, and on the line equal them; after it, the cells
-that disappeared must be the oracle's, and their children must be
-numbered in ascending parent order.
+``StageBuilder.insert`` asks the cell index of its space for the cells
+it splits: on the line two bisects of the cell parts at the ends of the
+new interval and a stabbing query on the spans of multi-part cells, on
+Cantor space a walk over the ancestors and one range of the descendants
+of the new cylinder.  The oracle here checks every cell of the stage
+with ``meet`` and ``meet_exterior``: a cell splits exactly when both are
+nonempty.  Before each insertion the index's candidate cells must equal
+the oracle's on both spaces; after it, the cells that disappeared must
+be the oracle's, and their children must be numbered in ascending
+parent order.
 """
 
 from __future__ import annotations
@@ -76,11 +77,8 @@ def insert_against_oracle(adapter_name: str, regions) -> None:
     builder = StageBuilder(make_adapter(adapter_name))
     for k, region in enumerate(regions, start=1):
         expected = split_by_oracle(builder, region)
-        candidates = builder._affected_cells(region)
-        assert set(expected) <= set(candidates)
-        if adapter_name == "rational-line":
-            # on the line the split loop gets no cell that persists
-            assert candidates == expected
+        # the split loop gets no cell that persists
+        assert builder._index.split_cells(region) == expected
         before = set(builder.cells)
         first_new = builder._next_id
         builder.insert(BasisHandle(k, region))
@@ -125,8 +123,16 @@ def test_line_splits_match_oracle(monkeypatch):
     assert stabs
 
 
+def cylinders(*words):
+    return [cantor_region((w,)) for w in words]
+
+
 @ORACLE
 @given(cantor_sequences)
+@example(cylinders("", "0", "1"))  # "1" is a whole cell: no split
+@example(cylinders("", "00", "1"))  # "1" is one of two prefixes of a cell
+@example(cylinders("1", "0", "10"))  # "10" lies inside the cell "1"
+@example(cylinders("", "010", "0"))  # "0" holds a two-prefix cell
 def test_cantor_splits_match_oracle(regions):
     insert_against_oracle("cantor", regions)
 

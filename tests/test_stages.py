@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dyadicmeasure.adapters import BasisHandle, make_adapter
+from dyadicmeasure.adapters import make_adapter
 from dyadicmeasure.dyadic import DyadicMass
 from dyadicmeasure.errors import (
     DuplicateInsertion,
@@ -19,11 +19,7 @@ from dyadicmeasure.regions import cantor_region, interval
 from dyadicmeasure.stages import (
     RingElement,
     StageBuilder,
-    build_stages,
-    classify,
     decompose,
-    init_stage,
-    refine,
     ring_difference,
     ring_union,
 )
@@ -125,27 +121,21 @@ def test_step_records(t1):
     ]
 
 
-def test_refine_is_pure(t1):
-    adapter, _, _ = t1
+def test_refine_is_pure():
     fresh = make_adapter("rational-line", injected=T1_INJECTED)
-    s1 = init_stage(fresh, fresh.enumerate(1))
-    s2 = refine(s1, fresh.enumerate(2))
+    builder = StageBuilder(fresh)
+    builder.insert(fresh.enumerate(1))
+    s1 = builder.snapshot()
+    # decomposing builds the stage's own cell index
+    assert decompose(interval(0, 2), s1).open_cells == {1}
+    resumed = StageBuilder.from_stage(s1)
+    resumed.insert(fresh.enumerate(2))
+    s2 = resumed.snapshot()
     assert len(s1.cells) == 1
     assert len(s2.cells) == 3
     assert s2.index == 2
-
-
-def test_build_stages_matches_refine_chain():
-    adapter = make_adapter("rational-line", injected=T1_INJECTED)
-    handles = [adapter.enumerate(i) for i in (1, 2, 3)]
-    chained = build_stages(adapter, handles)
-    assert [s.index for s in chained] == [1, 2, 3]
-    regions = {c.region for c in chained[-1].cells.values()}
-    adapter2 = make_adapter("rational-line", injected=T1_INJECTED)
-    s = init_stage(adapter2, adapter2.enumerate(1))
-    for h in handles[1:]:
-        s = refine(s, h)
-    assert {c.region for c in s.cells.values()} == regions
+    assert decompose(interval(0, 2), s1).open_cells == {1}
+    assert decompose(interval(0, 2), s2).open_cells == {2, 3}
 
 
 def test_builder_continues_from_snapshot(t1):
@@ -164,23 +154,6 @@ def test_builder_continues_from_snapshot(t1):
 def test_builder_count(t1):
     _, builder, _ = t1
     assert builder.count == 3
-
-
-# -- classify -----------------------------------------------------------------
-
-
-def test_classify_kinds(t1):
-    adapter, _, stages = t1
-    s3 = stages[2]
-    v3 = adapter.enumerate(3)
-    assert classify(s3.cells[2], v3, adapter).kind == "persist_exterior"
-    assert classify(s3.cells[5], BasisHandle(99, interval(2, 3)), adapter).kind == (
-        "persist_inside"
-    )
-    out = classify(s3.cells[6], BasisHandle(99, interval(2, F(5, 2))), adapter)
-    assert out.kind == "split"
-    assert out.in_region == interval(2, F(9, 4))
-    assert out.ext_region == interval(F(11, 4), 3)
 
 
 # -- ring elements ------------------------------------------------------------
@@ -275,6 +248,41 @@ def test_cantor_three_stages():
     assert rows == [(1, "1/2^1", 0), (2, None, 1), (3, None, 0)]
     assert s3.signature_of(2) == (True, True, False)
     assert s3.signature_of(3) == (True, False, True)
+
+
+def _cantor_two_cells():
+    """Stage 2 after inserting the whole space, then 00."""
+    c = make_adapter(
+        "cantor", injected=[cantor_region([""]), cantor_region(["00"])]
+    )
+    builder = StageBuilder(c)
+    for i in (1, 2):
+        builder.insert(c.enumerate(i))
+    assert {cid: x.region.prefixes for cid, x in builder.cells.items()} == {
+        2: ("00",),
+        3: ("01", "1"),
+    }
+    return builder
+
+
+def test_locate_host_cantor():
+    host = _cantor_two_cells().locate_host
+    assert host(cantor_region(["1"])) == 3  # one of the cell's prefixes
+    assert host(cantor_region(["10"])) == 3
+    assert host(cantor_region(["000"])) == 2
+    assert host(cantor_region(["00"])) is None  # the whole cell
+    assert host(cantor_region(["0"])) is None  # meets both cells
+
+
+def test_decompose_cantor():
+    stage = _cantor_two_cells().snapshot()
+    assert decompose(cantor_region(["00"]), stage).open_cells == {2}
+    assert decompose(cantor_region(["01", "1"]), stage).open_cells == {3}
+    assert decompose(cantor_region([""]), stage).open_cells == {2, 3}
+    for words in (["000"], ["1"], ["0"]):
+        # inside one cell, one of a cell's two prefixes, across both cells
+        with pytest.raises(NotRepresentable):
+            decompose(cantor_region(words), stage)
 
 
 # -- order invariants ---------------------------------------------------------
