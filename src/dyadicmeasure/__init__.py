@@ -36,6 +36,7 @@ from .certificates import (
     check_consistency,
     check_permutation_invariance,
     check_positivity,
+    to_json,
 )
 from .dyadic import ONE, ZERO, DyadicMass, dyadic_sum
 from .errors import (

@@ -259,7 +259,7 @@ class SpaceAdapter:
     def meet(self, a: object, b: object) -> object:
         raise NotImplementedError
 
-    def meet_exterior(self, a: object, v: BasisHandle) -> object:
+    def meet_exterior(self, a: object, v: object) -> object:
         raise NotImplementedError
 
     def closure_strictly_inside(self, a: object, b: object) -> bool:
@@ -284,6 +284,15 @@ class SpaceAdapter:
         raise NotImplementedError
 
     def format_region(self, region: object) -> str:
+        raise NotImplementedError
+
+    def probe_points(self, region: object, against: Iterable[object]) -> list:
+        """A few points of region, exact and deterministic.
+
+        ``against`` lists the other regions the points will be tested in;
+        a space whose points are finite words makes them long enough to
+        decide membership in each of those regions.
+        """
         raise NotImplementedError
 
     # scans ----------------------------------------------------------------
@@ -511,8 +520,8 @@ class RationalLine(SpaceAdapter):
     def meet(self, a: object, b: object) -> object:
         return line_meet(a, b)
 
-    def meet_exterior(self, a: object, v) -> object:
-        return line_meet_exterior(a, v.region if isinstance(v, BasisHandle) else v)
+    def meet_exterior(self, a: object, v: object) -> object:
+        return line_meet_exterior(a, v)
 
     def closure_strictly_inside(self, a: object, b: object) -> bool:
         return line_closure_strictly_inside(a, b)
@@ -548,6 +557,13 @@ class RationalLine(SpaceAdapter):
     def format_region(self, region: object) -> str:
         return " u ".join(f"({a},{b})" for a, b in region.parts) or "(empty)"
 
+    def probe_points(self, region: object, against: Iterable[object]) -> list:
+        # the quarter points of the first four parts
+        probes = []
+        for a, b in region.parts[:4]:
+            probes.extend(((3 * a + b) / 4, (a + b) / 2, (a + 3 * b) / 4))
+        return probes
+
 
 # -- Cantor space --------------------------------------------------------------
 
@@ -572,9 +588,8 @@ class CantorSpace(SpaceAdapter):
     def meet(self, a: object, b: object) -> object:
         return cantor_meet(a, b)
 
-    def meet_exterior(self, a: object, v) -> object:
-        w = v.region if isinstance(v, BasisHandle) else v
-        return cantor_meet(a, cantor_complement(w))
+    def meet_exterior(self, a: object, v: object) -> object:
+        return cantor_meet(a, cantor_complement(v))
 
     def closure_strictly_inside(self, a: object, b: object) -> bool:
         return cantor_closure_strictly_inside(a, b)
@@ -608,6 +623,15 @@ class CantorSpace(SpaceAdapter):
         if not region.prefixes:
             return "(empty)"
         return " u ".join(p if p else "-" for p in region.prefixes)
+
+    def probe_points(self, region: object, against: Iterable[object]) -> list:
+        # the first six prefixes, padded with zeros past every prefix in
+        # sight, so each word decides its membership in every cylinder
+        words = region.prefixes[:6]
+        pad = 8 + max(
+            (len(p) for r in (region, *against) for p in r.prefixes), default=0
+        )
+        return [p + "0" * (pad - len(p)) for p in words]
 
 
 ADAPTERS = {

@@ -16,7 +16,7 @@ consistency checker in masses.py is the audit of that stability.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 
 from .adapters import SpaceAdapter
@@ -57,7 +57,42 @@ __all__ = [
     "check_consistency",
     "check_permutation_invariance",
     "check_positivity",
+    "fragmentation_level",
+    "to_json",
 ]
+
+
+# -- JSON ------------------------------------------------------------------------
+
+# field or property name -> JSON key, where the two differ
+_JSON_KEYS = {
+    "stage_index": "stage",
+    "sample_count": "samples",
+    "cell_id": "cell",
+    "region_text": "region",
+    "links": "chain",
+}
+
+
+def to_json(value):
+    """JSON form of a certificate, a report or any value held by one.
+
+    A dataclass becomes an object of its fields and properties, keyed as
+    in ``_JSON_KEYS``, plus ``"kind"`` when its class names one; a
+    DyadicMass is its exact mantissa/scale pair; tuples become lists.
+    """
+    if isinstance(value, DyadicMass):
+        return value.to_json()
+    if isinstance(value, tuple):
+        return [to_json(v) for v in value]
+    if not is_dataclass(value):
+        return value
+    cls = type(value)
+    names = [f.name for f in fields(value)]
+    names += [n for n, attr in vars(cls).items() if isinstance(attr, property)]
+    out = {"kind": cls.kind} if "kind" in vars(cls) else {}
+    out.update((_JSON_KEYS.get(n, n), to_json(getattr(value, n))) for n in names)
+    return out
 
 
 # -- boundary bounds -----------------------------------------------------------
@@ -77,13 +112,6 @@ class ChainLink:
     bound: DyadicMass
     trimmed: DyadicMass | None
 
-    def to_json(self) -> dict:
-        return {
-            "j": self.j,
-            "bound": self.bound.to_json(),
-            "trimmed": None if self.trimmed is None else self.trimmed.to_json(),
-        }
-
 
 @dataclass(frozen=True)
 class BoundaryBoundCertificate:
@@ -95,6 +123,8 @@ class BoundaryBoundCertificate:
     one.  ``probe_points`` counts the grid points on which the region
     algebra was cross-checked against raw membership tests.
     """
+
+    kind = "boundary-bound"
 
     i: int
     stage_index: int
@@ -114,29 +144,6 @@ class BoundaryBoundCertificate:
         """bound_1 / 2**(j_max - 1), which final_bound is certified to meet."""
         return self.links[0].bound.scaled_down(self.j_max - 1)
 
-    def to_json(self) -> dict:
-        return {
-            "kind": "boundary-bound",
-            "i": self.i,
-            "stage": self.stage_index,
-            "j_max": self.j_max,
-            "final_bound": self.final_bound.to_json(),
-            "derived_bound": self.derived_bound.to_json(),
-            "chain": [link.to_json() for link in self.links],
-            "probe_points": self.probe_points,
-        }
-
-
-def _probe_points_of(region) -> list:
-    """A few interior grid points of a region, exact and deterministic."""
-    parts = getattr(region, "parts", None)
-    if parts is not None:
-        probes = []
-        for a, b in parts[:4]:
-            probes.extend(((3 * a + b) / 4, (a + b) / 2, (a + 3 * b) / 4))
-        return probes
-    return list(getattr(region, "prefixes", ())[:6])
-
 
 def _probe_agreement(stage: Stage, region, element: RingElement) -> int:
     """Cross-check a decomposition against pointwise membership.
@@ -147,14 +154,9 @@ def _probe_agreement(stage: Stage, region, element: RingElement) -> int:
     implementation bug, not a falsified bound.
     """
     adapter = stage.adapter
-    probes = _probe_points_of(region)
-    if probes and isinstance(probes[0], str):
-        # Cantor points are long words; pad past every prefix in sight.
-        pad = max(len(p) for p in probes) + 8
-        for cid in element.open_cells:
-            for p in stage.cells[cid].region.prefixes:
-                pad = max(pad, len(p) + 8)
-        probes = [p + "0" * (pad - len(p)) for p in probes]
+    probes = adapter.probe_points(
+        region, [stage.cells[cid].region for cid in element.open_cells]
+    )
     checked = 0
     for x in probes:
         if not adapter.contains_point(region, x):
@@ -213,7 +215,7 @@ def certify_boundary(
         trimmed: DyadicMass | None = None
         if j < j_max:
             for h in schedule.hole_handles(i, j + 1):
-                region = schedule.adapter.meet_exterior(region, h)
+                region = schedule.adapter.meet_exterior(region, h.region)
             trimmed = kappa(stage, decompose(region, stage))
             if trimmed != bound.halve():
                 raise ChainViolation(
@@ -251,26 +253,26 @@ def certify_max_decay(schedule: Schedule, trace: Trace, m: int) -> DyadicMass:
     return value
 
 
+def fragmentation_level(epsilon: DyadicMass) -> int:
+    """Least m with 2**(1-m) <= epsilon, the level whose cells fit epsilon."""
+    m = 1
+    while DyadicMass.pow2(m - 1) > epsilon:
+        m += 1
+    return m
+
+
 # -- additivity ------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class AdditivityReport:
+    kind = "additivity"
+
     stage_index: int
     sample_count: int
     seed: int
     disjoint_pairs: int
     covers: int
-
-    def to_json(self) -> dict:
-        return {
-            "kind": "additivity",
-            "stage": self.stage_index,
-            "samples": self.sample_count,
-            "seed": self.seed,
-            "disjoint_pairs": self.disjoint_pairs,
-            "covers": self.covers,
-        }
 
 
 def check_additivity(
@@ -360,19 +362,12 @@ def check_additivity(
 
 @dataclass(frozen=True)
 class ConservationReport:
+    kind = "conservation"
+
     positions: int
     grants: int
     splits: int
     final_total: DyadicMass
-
-    def to_json(self) -> dict:
-        return {
-            "kind": "conservation",
-            "positions": self.positions,
-            "grants": self.grants,
-            "splits": self.splits,
-            "final_total": self.final_total.to_json(),
-        }
 
 
 def check_conservation(trace: Trace) -> ConservationReport:
@@ -424,19 +419,12 @@ def check_conservation(trace: Trace) -> ConservationReport:
 
 @dataclass(frozen=True)
 class ConsistencyReport:
+    kind = "consistency"
+
     stages: int
     per_stage: int
     seed: int
     elements_checked: int
-
-    def to_json(self) -> dict:
-        return {
-            "kind": "consistency",
-            "stages": self.stages,
-            "per_stage": self.per_stage,
-            "seed": self.seed,
-            "elements_checked": self.elements_checked,
-        }
 
 
 def check_consistency(
@@ -479,13 +467,6 @@ class PartitionPiece:
     region_text: str
     mass: DyadicMass
 
-    def to_json(self) -> dict:
-        return {
-            "cell": self.cell_id,
-            "region": self.region_text,
-            "mass": self.mass.to_json(),
-        }
-
 
 @dataclass(frozen=True)
 class PartitionCertificate:
@@ -499,6 +480,8 @@ class PartitionCertificate:
     disjoint and exhaust the space by construction of the stage.
     """
 
+    kind = "partition"
+
     epsilon: DyadicMass
     m: int
     stage_index: int
@@ -508,21 +491,9 @@ class PartitionCertificate:
     boundary_bound: DyadicMass
     boundary_certificates: tuple[BoundaryBoundCertificate, ...]
 
-    def to_json(self) -> dict:
-        return {
-            "kind": "partition",
-            "epsilon": self.epsilon.to_json(),
-            "m": self.m,
-            "stage": self.stage_index,
-            "piece_count": len(self.pieces),
-            "max_piece": self.max_piece.to_json(),
-            "tail_bound": self.tail_bound.to_json(),
-            "boundary_bound": self.boundary_bound.to_json(),
-            "pieces": [p.to_json() for p in self.pieces],
-            "boundary_certificates": [
-                c.to_json() for c in self.boundary_certificates
-            ],
-        }
+    @property
+    def piece_count(self) -> int:
+        return len(self.pieces)
 
 
 def build_partition(
@@ -537,9 +508,7 @@ def build_partition(
     """
     if epsilon.is_zero:
         raise ConfigError("epsilon must be positive")
-    m = 1
-    while DyadicMass.pow2(m - 1) > epsilon:
-        m += 1
+    m = fragmentation_level(epsilon)
     try:
         block = schedule.block(1, m)
     except StageTooEarly:
@@ -613,38 +582,14 @@ class PermutationEntry:
             return None
         return self.kappa_original == self.kappa_permuted
 
-    def to_json(self) -> dict:
-        return {
-            "region": self.region_text,
-            "stage_original": self.stage_original,
-            "stage_permuted": self.stage_permuted,
-            "kappa_original": (
-                None
-                if self.kappa_original is None
-                else self.kappa_original.to_json()
-            ),
-            "kappa_permuted": (
-                None
-                if self.kappa_permuted is None
-                else self.kappa_permuted.to_json()
-            ),
-            "kappa_agrees": self.kappa_agrees,
-        }
-
 
 @dataclass(frozen=True)
 class PermutationReport:
+    kind = "permutation"
+
     prefix_length: int
     permutation: tuple[int, ...]
     entries: tuple[PermutationEntry, ...]
-
-    def to_json(self) -> dict:
-        return {
-            "kind": "permutation",
-            "prefix_length": self.prefix_length,
-            "permutation": list(self.permutation),
-            "entries": [e.to_json() for e in self.entries],
-        }
 
 
 def _first_decomposable(stages, region):
@@ -729,17 +674,11 @@ def check_permutation_invariance(
 
 @dataclass(frozen=True)
 class PositivityReport:
+    kind = "positivity"
+
     adapter: str
     count: int
     min_kappa: DyadicMass
-
-    def to_json(self) -> dict:
-        return {
-            "kind": "positivity",
-            "adapter": self.adapter,
-            "count": self.count,
-            "min_kappa": self.min_kappa.to_json(),
-        }
 
 
 def check_positivity(adapter: SpaceAdapter, count: int = 50) -> PositivityReport:

@@ -25,6 +25,8 @@ from .certificates import (
     check_conservation,
     check_consistency,
     check_positivity,
+    fragmentation_level,
+    to_json,
 )
 from .dyadic import DyadicMass
 from .errors import (
@@ -130,21 +132,21 @@ def _cmd_verify(args: argparse.Namespace) -> dict:
             f"has {len(sampled.cells)}; use a deeper --depth"
         )
     certificates = [
-        certify_boundary(schedule, trace, i).to_json()
+        to_json(certify_boundary(schedule, trace, i))
         for i in sorted({b.i for b in schedule.blocks})
     ]
     decay = [
-        {"m": m, "value": certify_max_decay(schedule, trace, m).to_json()}
+        {"m": m, "value": to_json(certify_max_decay(schedule, trace, m))}
         for m in range(1, args.depth + 1)
     ]
-    reports = [check_conservation(trace).to_json()]
-    reports.append(check_additivity(sampled, 1000, seed=args.seed).to_json())
-    reports.append(
+    reports = [
+        check_conservation(trace),
+        check_additivity(sampled, 1000, seed=args.seed),
         check_consistency(
             list(trace.stages(1, min(8, len(trace)))), 50, seed=args.seed
-        ).to_json()
-    )
-    reports.append(check_positivity(adapter, 50).to_json())
+        ),
+        check_positivity(adapter, 50),
+    ]
     return {
         "adapter": adapter.name,
         "command": "verify",
@@ -152,7 +154,7 @@ def _cmd_verify(args: argparse.Namespace) -> dict:
         "seed": args.seed,
         "boundary_certificates": certificates,
         "max_decay": decay,
-        "reports": reports,
+        "reports": [to_json(report) for report in reports],
     }
 
 
@@ -171,10 +173,7 @@ def _parse_epsilon(text: str) -> DyadicMass:
 
 def _cmd_partition(args: argparse.Namespace) -> dict:
     epsilon = _parse_epsilon(args.epsilon)
-    m = 1
-    while DyadicMass.pow2(m - 1) > epsilon:
-        m += 1
-    depth = m
+    depth = fragmentation_level(epsilon)
     if args.depth is not None:
         _check_depth(args.depth)
         depth = args.depth
@@ -185,7 +184,7 @@ def _cmd_partition(args: argparse.Namespace) -> dict:
         "adapter": adapter.name,
         "command": "partition",
         "depth": depth,
-        "certificate": certificate.to_json(),
+        "certificate": to_json(certificate),
     }
 
 
@@ -218,6 +217,13 @@ def _to_csv(payload: dict) -> str:
             ]
         )
     return out.getvalue()
+
+
+def _reproduction(args: argparse.Namespace) -> dict:
+    """The arguments a violation artifact records to rerun its command."""
+    given = vars(args)
+    names = ("command", "adapter", "seed", "stages", "depth", "epsilon")
+    return {name: given[name] for name in names if name in given}
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -319,7 +325,11 @@ def main(argv=None) -> int:
             text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     except VerificationViolation as exc:
         artifact = json.dumps(
-            {"error": type(exc).__name__, "message": str(exc)},
+            {
+                "error": type(exc).__name__,
+                "message": str(exc),
+                **_reproduction(args),
+            },
             indent=2,
             sort_keys=True,
         )

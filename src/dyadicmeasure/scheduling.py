@@ -210,7 +210,7 @@ def build_schedule(
             )
             constraint = prev_cover_region[i]
             for h in holes:
-                constraint = adapter.meet_exterior(constraint, h)
+                constraint = adapter.meet_exterior(constraint, h.region)
             v = adapter.enumerate(i)
             points = adapter.boundary(v).points
             cover = (

@@ -423,11 +423,8 @@ class _LineCells:
         cells_in: set[int] = set()
         residue: set[Fraction] = set()
         for p, q in region.parts:
+            # a part straddling p leaves the open gap after p uncovered
             idx = parts.bisect_left((float(p), p))
-            if idx > 0 and parts[idx - 1][3] > p:
-                raise NotRepresentable(
-                    f"a cell straddles the left endpoint {p} of {region!r}"
-                )
             cursor = p
             while idx < len(parts):
                 _, lo, _, hi, cid = parts[idx]
@@ -620,7 +617,7 @@ class StageBuilder:
             in_region = self.adapter.meet(cell.region, handle.region)
             if in_region.is_empty:
                 continue
-            ext_region = self.adapter.meet_exterior(cell.region, handle)
+            ext_region = self.adapter.meet_exterior(cell.region, handle.region)
             if ext_region.is_empty:
                 continue
             self._index.remove(cid, cell.region)

@@ -22,7 +22,7 @@ from dyadicmeasure.errors import (
     NotABasisElement,
     ScanExhausted,
 )
-from dyadicmeasure.regions import cantor_region, interval
+from dyadicmeasure.regions import cantor_region, interval, line_region
 
 
 @pytest.fixture
@@ -252,6 +252,27 @@ def test_line_boundary_is_endpoint_pair(line):
 
 def test_cantor_boundary_is_empty(cantor):
     assert cantor.boundary(cantor.enumerate(2)).points == ()
+
+
+# -- probe points -------------------------------------------------------------
+
+
+def test_line_probe_points(line):
+    region = line_region([(0, 1), (2, 4)])
+    assert line.probe_points(region, [interval(0, 5)]) == [
+        F(1, 4), F(1, 2), F(3, 4), F(5, 2), F(3), F(7, 2),
+    ]
+
+
+def test_cantor_probe_points_pad_past_every_prefix(cantor):
+    region = cantor_region(["0", "11"])
+    # longest prefix in sight has 7 digits, so every word gets 15
+    against = [cantor_region(["0010101"]), cantor_region(["110"])]
+    assert cantor.probe_points(region, against) == [
+        "0" + "0" * 14,
+        "11" + "0" * 13,
+    ]
+    assert cantor.probe_points(cantor_region([]), []) == []
 
 
 # -- enumeration helpers ------------------------------------------------------

@@ -16,6 +16,7 @@ from dyadicmeasure.certificates import (
     check_consistency,
     check_permutation_invariance,
     check_positivity,
+    to_json,
 )
 from dyadicmeasure.dyadic import DyadicMass
 from dyadicmeasure.errors import (
@@ -29,9 +30,9 @@ from dyadicmeasure.errors import (
     MembershipViolation,
     StageTooEarly,
 )
-from dyadicmeasure.regions import interval
+from dyadicmeasure.regions import cantor_region, interval
 from dyadicmeasure.scheduling import build_schedule
-from dyadicmeasure.stages import StageBuilder, StepRecord
+from dyadicmeasure.stages import StageBuilder, StepRecord, decompose
 
 
 @pytest.fixture(scope="module")
@@ -106,6 +107,23 @@ def test_boundary_chain_cantor_is_exactly_zero(cantor_d3):
         assert all(k.bound.is_zero for k in cert.links)
         assert cert.final_bound.is_zero
         assert cert.probe_points == 0
+
+
+def test_probe_agreement_on_cantor_cells():
+    # Cantor covers are empty, so certify_boundary never probes a Cantor
+    # region; a word must reach past the 12-digit cell to land in one cell
+    adapter = make_adapter(
+        "cantor",
+        injected=[cantor_region([""]), cantor_region(["00"]),
+                  cantor_region(["0" * 12])],
+    )
+    builder = StageBuilder(adapter)
+    for index in (1, 2, 3):
+        builder.insert(adapter.enumerate(index))
+    stage = builder.snapshot()
+    region = cantor_region([""])
+    element = decompose(region, stage)
+    assert certs._probe_agreement(stage, region, element) == 1
 
 
 # -- decay --------------------------------------------------------------------
@@ -284,6 +302,41 @@ def test_permutation_membership_agrees():
         ("(0,1)", 2, 2, True),
         ("(1/2,1)", None, None, None),
     ]
+
+
+def _mass(mantissa, scale):
+    return {"mantissa": mantissa, "scale": scale}
+
+
+def test_permutation_report_json():
+    # the output of the former per-class to_json methods, which no golden
+    # file covers; the entries have kappa_agrees true, false and null
+    adapter = make_adapter("rational-line")
+    probes = [interval(0, 2), interval(1, 3), interval(0, 1),
+              interval(F(1, 2), 1)]
+    report = check_permutation_invariance(adapter, T1_PREFIX, (2, 3, 1), probes)
+
+    def entry(region, stages, masses, agrees):
+        return {
+            "region": region,
+            "stage_original": stages[0],
+            "stage_permuted": stages[1],
+            "kappa_original": masses[0],
+            "kappa_permuted": masses[1],
+            "kappa_agrees": agrees,
+        }
+
+    assert to_json(report) == {
+        "kind": "permutation",
+        "prefix_length": 3,
+        "permutation": [2, 3, 1],
+        "entries": [
+            entry("(0,2)", (1, 3), (_mass(1, 1), _mass(1, 2)), False),
+            entry("(1,3)", (2, 1), (_mass(1, 1), _mass(1, 1)), True),
+            entry("(0,1)", (2, 3), (_mass(1, 2), _mass(1, 3)), False),
+            entry("(1/2,1)", (None, None), (None, None), None),
+        ],
+    }
 
 
 def test_permutation_kappa_not_forced_equal():

@@ -7,7 +7,7 @@ import pytest
 import dyadicmeasure.cli as cli
 import dyadicmeasure.masses as masses
 from dyadicmeasure.dyadic import DyadicMass
-from dyadicmeasure.errors import AdditivityViolation
+from dyadicmeasure.errors import AdditivityViolation, DecayViolation
 
 T1_BASIS = "# first three insertions\n(0,2)\n(1,3)\n\n(9/4,11/4)\n"
 
@@ -247,7 +247,37 @@ def test_violation_writes_artifact(capsys, tmp_path, monkeypatch):
     assert code == 3
     assert "verification violation: boom" in err
     artifact = json.loads(target.read_text(encoding="utf-8"))
-    assert artifact == {"error": "AdditivityViolation", "message": "boom"}
+    assert artifact == {
+        "error": "AdditivityViolation",
+        "message": "boom",
+        "command": "verify",
+        "adapter": "cantor",
+        "seed": 0,
+        "depth": 2,
+    }
+
+
+def test_partition_violation_artifact_names_epsilon(capsys, tmp_path, monkeypatch):
+    def explode(schedule, trace, epsilon):
+        raise DecayViolation("boom")
+
+    monkeypatch.setattr(cli, "build_partition", explode)
+    target = tmp_path / "violation.json"
+    code, _, _ = run(
+        capsys, "partition", "1/4", "--adapter", "cantor", "--seed", "5",
+        "--out", str(target),
+    )
+    assert code == 3
+    # no --depth given: null stands for the depth epsilon requires
+    assert json.loads(target.read_text(encoding="utf-8")) == {
+        "error": "DecayViolation",
+        "message": "boom",
+        "command": "partition",
+        "adapter": "cantor",
+        "seed": 5,
+        "depth": None,
+        "epsilon": "1/4",
+    }
 
 
 def test_violation_default_artifact_path(capsys, tmp_path, monkeypatch):

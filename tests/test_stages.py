@@ -15,7 +15,7 @@ from dyadicmeasure.errors import (
     UnknownCell,
 )
 from dyadicmeasure.masses import kappa
-from dyadicmeasure.regions import cantor_region, interval
+from dyadicmeasure.regions import cantor_region, interval, line_region
 from dyadicmeasure.stages import (
     RingElement,
     StageBuilder,
@@ -176,6 +176,23 @@ def test_decompose_rejects_unrepresentable(t1):
     _, _, stages = t1
     with pytest.raises(NotRepresentable):
         decompose(interval(0, F(1, 2)), stages[2])
+
+
+@pytest.mark.parametrize(
+    "parts",
+    [
+        [(F(1, 2), 2)],  # cell (0,1) straddles 1/2
+        [(F(1, 2), 1)],  # ... and ends exactly at the right endpoint
+        [(0, 1), (F(5, 2), 3)],  # cell (9/4,11/4) straddles 5/2
+        [(F(29, 10), 4)],  # the last part, (11/4,3), straddles 29/10
+    ],
+)
+def test_decompose_rejects_left_straddle(t1, parts):
+    # the open gap a straddling part leaves after the left endpoint is
+    # what rejects these regions
+    _, _, stages = t1
+    with pytest.raises(NotRepresentable, match="open gap"):
+        decompose(line_region(parts), stages[2])
 
 
 def test_ring_union_and_difference(t1):
