@@ -65,9 +65,9 @@ from .regions import (
     CantorRegion,
     LineRegion,
     cantor_closure_strictly_inside,
-    cantor_complement,
     cantor_contains_point,
     cantor_meet,
+    cantor_minus,
     cantor_region,
     cantor_subset,
     cantor_union,
@@ -104,10 +104,6 @@ class BoundaryDescriptor:
     """
 
     points: tuple[Fraction, ...]
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.points
 
 
 # -- Calkin-Wilf machinery ---------------------------------------------------
@@ -589,7 +585,7 @@ class CantorSpace(SpaceAdapter):
         return cantor_meet(a, b)
 
     def meet_exterior(self, a: object, v: object) -> object:
-        return cantor_meet(a, cantor_complement(v))
+        return cantor_minus(a, v)
 
     def closure_strictly_inside(self, a: object, b: object) -> bool:
         return cantor_closure_strictly_inside(a, b)

@@ -221,14 +221,16 @@ def certify_boundary(
                 raise ChainViolation(
                     f"hole identity failed at ({i},{j}): trimming the cover "
                     f"by the ({i},{j + 1}) holes left {trimmed}, expected "
-                    f"{bound.halve()} (half of {bound})"
+                    f"{bound.halve()} (half of {bound})",
+                    stage=stage.index, block=(i, j),
                 )
         links.append(ChainLink(j=j, bound=bound, trimmed=trimmed))
     for prev, nxt in zip(links, links[1:]):
         if nxt.bound > prev.bound.halve():
             raise ChainViolation(
                 f"halving chain broken at ({i},{prev.j}): {nxt.bound} > "
-                f"half of {prev.bound}"
+                f"half of {prev.bound}",
+                stage=stage.index, block=(i, prev.j),
             )
     return BoundaryBoundCertificate(
         i=i, stage_index=stage.index, links=tuple(links), probe_points=probes
@@ -248,7 +250,8 @@ def certify_max_decay(schedule: Schedule, trace: Trace, m: int) -> DyadicMass:
     if value > bound:
         raise DecayViolation(
             f"max cell mass at stage g(1,{m}) = {block.g} is {value}, "
-            f"above the certified bound {bound}"
+            f"above the certified bound {bound}",
+            stage=block.g, block=(1, m),
         )
     return value
 

@@ -219,11 +219,15 @@ def _to_csv(payload: dict) -> str:
     return out.getvalue()
 
 
-def _reproduction(args: argparse.Namespace) -> dict:
-    """The arguments a violation artifact records to rerun its command."""
+def _reproduction(args: argparse.Namespace, exc: VerificationViolation) -> dict:
+    """What a violation artifact records to rerun its command: the
+    arguments, and the stage and block of the failure when it names them."""
     given = vars(args)
     names = ("command", "adapter", "seed", "stages", "depth", "epsilon")
-    return {name: given[name] for name in names if name in given}
+    where = {"stage": exc.stage, "block": exc.block}
+    return {name: given[name] for name in names if name in given} | {
+        name: value for name, value in where.items() if value is not None
+    }
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -328,7 +332,7 @@ def main(argv=None) -> int:
             {
                 "error": type(exc).__name__,
                 "message": str(exc),
-                **_reproduction(args),
+                **_reproduction(args, exc),
             },
             indent=2,
             sort_keys=True,

@@ -70,7 +70,15 @@ class StageTooEarly(DyadicMeasureError):
 
 
 class VerificationViolation(DyadicMeasureError):
-    """Base class for failures of the certified bounds."""
+    """Base class for failures of the certified bounds.  ``stage`` and
+    ``block``, when known, name the stage index and the schedule block
+    ``(i, j)`` the failure happened at."""
+
+    def __init__(self, message: str, *, stage: int | None = None,
+                 block: tuple[int, int] | None = None) -> None:
+        super().__init__(message)
+        self.stage = stage
+        self.block = block
 
 
 class ChainViolation(VerificationViolation):

@@ -8,15 +8,20 @@ set from (0,2).
 A Cantor-space region is a finite union of cylinders, stored as the unique
 canonical antichain of binary prefixes: no member is a prefix of another and
 no two siblings w0, w1 are both present (they merge into w).  Cylinders are
-clopen, so complements are exact and boundaries are empty.
+clopen, so complements are exact and boundaries are empty.  Antichains are
+kept sorted, where a prefix's descendants follow it directly, so each
+operation is one walk: a stack pass canonicalizes, meet walks both
+antichains side by side, and minus walks x with one bisect into y per
+prefix.  Meet and minus build canonical output as they go.
 
 All functions are total and exact; nothing here approximates.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .errors import InvariantViolation
@@ -135,9 +140,8 @@ def line_union(x: LineRegion, y: LineRegion) -> LineRegion:
 def line_subset(x: LineRegion, y: LineRegion) -> bool:
     """x subset of y.  Each x part must sit inside a single y part: y parts
     that merely touch leave the shared endpoint uncovered."""
-    lows = [p[0] for p in y.parts]
     for lo, hi in x.parts:
-        k = bisect_right(lows, lo) - 1
+        k = bisect_right(y.parts, lo, key=itemgetter(0)) - 1
         if k < 0 or not (y.parts[k][0] <= lo and hi <= y.parts[k][1]):
             return False
     return True
@@ -147,29 +151,21 @@ def line_closure_strictly_inside(x: LineRegion, y: LineRegion) -> bool:
     """closure(x) contained in y with nonempty leftover y \\ closure(x)."""
     if y.is_empty:
         return False
-    if x.is_empty:
-        return True
-    lows = [p[0] for p in y.parts]
     for lo, hi in x.parts:
-        k = bisect_right(lows, lo) - 1
+        k = bisect_right(y.parts, lo, key=itemgetter(0)) - 1
         if k < 0 or not (y.parts[k][0] < lo and hi < y.parts[k][1]):
             return False
     return True
 
 
 def line_contains_point(x: LineRegion, p: Fraction) -> bool:
-    lows = [q[0] for q in x.parts]
-    k = bisect_right(lows, p) - 1
+    k = bisect_right(x.parts, p, key=itemgetter(0)) - 1
     return k >= 0 and x.parts[k][0] < p < x.parts[k][1]
 
 
 def line_boundary_points(x: LineRegion) -> tuple[Fraction, ...]:
     """Topological boundary of a finite interval union: the endpoints."""
-    pts: set[Fraction] = set()
-    for lo, hi in x.parts:
-        pts.add(lo)
-        pts.add(hi)
-    return tuple(sorted(pts))
+    return tuple(sorted({p for part in x.parts for p in part}))
 
 
 # -- Cantor space ----------------------------------------------------------
@@ -210,64 +206,75 @@ CANTOR_ALL = CantorRegion(("",))
 
 
 def cantor_region(prefixes: Iterable[str]) -> CantorRegion:
-    """Canonicalize: drop dominated prefixes, merge sibling pairs, sort."""
-    members = set(prefixes)
-    for p in members:
-        if set(p) - {"0", "1"}:
+    """Canonicalize: one stack pass over the sorted words drops those under
+    the top and merges a top with its sibling below, cascading."""
+    stack: list[str] = []
+    for p in sorted(set(prefixes)):
+        if p.strip("01"):
             raise InvariantViolation(f"prefix must be over 0/1, got {p!r}")
-    changed = True
-    while changed:
-        changed = False
-        # absorb descendants into ancestors
-        drop = set()
-        for p in members:
-            for q in members:
-                if p != q and p.startswith(q):
-                    drop.add(p)
-        if drop:
-            members -= drop
-            changed = True
-        # merge sibling pairs
-        for p in sorted(members):
-            if p.endswith("0") and p[:-1] + "1" in members:
-                members.discard(p)
-                members.discard(p[:-1] + "1")
-                members.add(p[:-1])
-                changed = True
-                break
-    return CantorRegion(tuple(sorted(members)))
+        if stack and p.startswith(stack[-1]):
+            continue
+        stack.append(p)
+        while (
+            len(stack) > 1
+            and stack[-1].endswith("1")
+            and stack[-2] == stack[-1][:-1] + "0"
+        ):
+            stack.pop()
+            stack[-1] = stack[-1][:-1]
+    return CantorRegion(tuple(stack))
 
 
 def cantor_meet(x: CantorRegion, y: CantorRegion) -> CantorRegion:
+    """Intersection by one walk over both antichains; the smaller of two
+    nested cylinders is their meet.  The output is canonical as built: no
+    word has both children in it, as neither x nor y does."""
     out = []
+    px, py = x.prefixes, y.prefixes
+    i = j = 0
+    while i < len(px) and j < len(py):
+        p, q = px[i], py[j]
+        if p.startswith(q):
+            out.append(p)
+            i += 1
+        elif q.startswith(p):
+            out.append(q)
+            j += 1
+        elif p < q:
+            i += 1
+        else:
+            j += 1
+    return CantorRegion(tuple(out))
+
+
+def cantor_minus(x: CantorRegion, y: CantorRegion) -> CantorRegion:
+    """x minus y by one walk over the prefixes p of x.
+
+    The y prefixes are an antichain, so only the greatest one <= p can hold
+    p, and the ones under p follow it directly.  A held p is dropped; any
+    other p splits down the trie into the cylinders those ones miss.
+    """
+    py = y.prefixes
+    out: list[str] = []
     for p in x.prefixes:
-        for q in y.prefixes:
-            if p.startswith(q):
-                out.append(p)
-            elif q.startswith(p):
-                out.append(q)
-    return cantor_region(out)
-
-
-def _cantor_complement_single(w: str) -> CantorRegion:
-    if w == "":
-        return CANTOR_EMPTY
-    out = []
-    for i, bit in enumerate(w):
-        out.append(w[:i] + ("1" if bit == "0" else "0"))
-    return cantor_region(out)
+        k = bisect_right(py, p)
+        if k and p.startswith(py[k - 1]):
+            continue
+        # (w, lo, hi): py[lo:hi] are the y prefixes under w; 0-side first
+        todo = [(p, k, bisect_left(py, p + "2", k))]
+        while todo:
+            w, lo, hi = todo.pop()
+            if lo == hi:
+                out.append(w)
+            elif py[lo] != w:
+                mid = bisect_left(py, w + "1", lo, hi)
+                todo += [(w + "1", mid, hi), (w + "0", lo, mid)]
+    return CantorRegion(tuple(out))
 
 
 def cantor_complement(x: CantorRegion) -> CantorRegion:
     """Exact complement; cylinders are clopen so this is again a region."""
-    comp = CANTOR_ALL
-    for w in x.prefixes:
-        comp = cantor_meet(comp, _cantor_complement_single(w))
-    return comp
-
-
-def cantor_minus(x: CantorRegion, y: CantorRegion) -> CantorRegion:
-    return cantor_meet(x, cantor_complement(y))
+    return cantor_minus(CANTOR_ALL, x)
 
 
 def cantor_union(x: CantorRegion, y: CantorRegion) -> CantorRegion:
@@ -275,17 +282,12 @@ def cantor_union(x: CantorRegion, y: CantorRegion) -> CantorRegion:
 
 
 def cantor_subset(x: CantorRegion, y: CantorRegion) -> bool:
-    return all(
-        any(p.startswith(q) for q in y.prefixes)
-        for p in x.prefixes
-    )
+    return cantor_meet(x, y) == x
 
 
 def cantor_closure_strictly_inside(x: CantorRegion, y: CantorRegion) -> bool:
     """Cylinders are closed, so this is subset plus strictness."""
-    if y.is_empty:
-        return False
-    return cantor_subset(x, y) and not cantor_minus(y, x).is_empty
+    return cantor_subset(x, y) and x != y
 
 
 def cantor_contains_point(x: CantorRegion, point: str) -> bool:

@@ -31,9 +31,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter, or_, sub
 
-from sortedcontainers import SortedList
+from sortedcontainers import SortedDict, SortedList
 
-from .adapters import BasisHandle, BoundaryDescriptor, SpaceAdapter
+from .adapters import BasisHandle, SpaceAdapter
 from .dyadic import DyadicMass, ZERO, dyadic_sum
 from .errors import (
     DuplicateInsertion,
@@ -91,7 +91,6 @@ class Stage:
         "inserted",
         "cells",
         "boundary_points",
-        "boundary_descriptors",
         "total_mass",
         "adapter",
         "_sig_cache",
@@ -105,7 +104,6 @@ class Stage:
         inserted: tuple[BasisHandle, ...],
         cells: dict[int, Cell],
         boundary_points: frozenset,
-        boundary_descriptors: tuple[BoundaryDescriptor, ...],
         total_mass: DyadicMass,
         adapter: SpaceAdapter,
     ) -> None:
@@ -113,7 +111,6 @@ class Stage:
         self.inserted = inserted
         self.cells = cells
         self.boundary_points = boundary_points
-        self.boundary_descriptors = boundary_descriptors
         self.total_mass = total_mass
         self.adapter = adapter
         self._sig_cache: dict[int, Signature] = {}
@@ -465,47 +462,45 @@ class _LineCells:
 class _CantorCells:
     """Cell index of Cantor space.
 
-    Every prefix of every cell maps to its cell, and the prefixes sit in a
-    sorted list, so the prefixes under w are one range of it.  Cells are
-    disjoint, so all their prefixes together form an antichain.  The union
-    of the inserted cylinders is kept as one region; an index built from a
-    stage's cells has it empty.
+    One sorted map takes every prefix of every cell to its cell.  Cells are
+    disjoint, so all their prefixes together form an antichain: the only key
+    that can be a prefix of w is the greatest key <= w, and the keys under w
+    are one range of the map.  The union of the inserted cylinders is kept
+    as one region; an index built from a stage's cells has it empty.
     """
 
     def __init__(self, adapter: SpaceAdapter, cells: dict[int, Cell]) -> None:
         self.adapter = adapter
         self.cells = cells
-        self._members: dict[str, int] = {
-            p: cid for cid, cell in cells.items() for p in cell.region.prefixes
-        }
-        self._keys = SortedList(self._members)
+        self._members = SortedDict(
+            (p, cid) for cid, cell in cells.items() for p in cell.region.prefixes
+        )
         self._covered = cantor_region(())
 
     def add(self, cid: int, region: CantorRegion) -> None:
         for p in region.prefixes:
             self._members[p] = cid
-            self._keys.add(p)
 
     def remove(self, cid: int, region: CantorRegion) -> None:
         for p in region.prefixes:
             del self._members[p]
-            self._keys.remove(p)
 
     def _holder(self, w: str) -> int | None:
         """The cell with a prefix of w (w itself included), if any.
 
-        The prefixes form an antichain, so at most one of them is a prefix
-        of w, and the cylinder w lies inside that cell.
+        At most one key is a prefix of w, and the cylinder w lies inside
+        that key's cell.
         """
-        for i in range(len(w) + 1):
-            cid = self._members.get(w[:i])
-            if cid is not None:
+        k = self._members.bisect_right(w)
+        if k:
+            key, cid = self._members.peekitem(k - 1)
+            if w.startswith(key):
                 return cid
         return None
 
     def _under(self, w: str):
         """Prefixes that have w as a prefix, w included, ascending."""
-        return self._keys.irange(w, w + "2", inclusive=(True, False))
+        return self._members.irange(w, w + "2", inclusive=(True, False))
 
     def split_cells(self, region: CantorRegion) -> list[int]:
         """Ids of the cells the insertion of cylinder w splits, ascending.
@@ -540,19 +535,13 @@ class _CantorCells:
         self._covered = self.adapter.union(self._covered, region)
 
     def decompose(self, region: CantorRegion, stage: Stage) -> RingElement:
-        # a cell holding a proper prefix of q has no prefix under q, so the
-        # coverage check below rejects the region
         cells_in = {
             self._members[key] for q in region.prefixes for key in self._under(q)
         }
-        covered: list[str] = []
-        for cid in cells_in:
-            cell = self.cells[cid]
-            if not self.adapter.subset(cell.region, region):
-                raise NotRepresentable(
-                    f"cell {cid} pokes outside {region!r} at stage {stage.index}"
-                )
-            covered.extend(cell.region.prefixes)
+        # canonical forms are unique, so the cells' union is the region only
+        # if no cell pokes out of it and no part of it is missed (a cell
+        # holding a proper prefix of q has no key under q)
+        covered = [p for cid in cells_in for p in self.cells[cid].region.prefixes]
         if cantor_region(covered) != region:
             raise NotRepresentable(
                 f"{region!r} is not a union of stage-{stage.index} cells"
@@ -574,7 +563,6 @@ class StageBuilder:
         self.cells: dict[int, Cell] = {}
         self.total = ZERO
         self.boundary_points: set = set()
-        self.boundary_descriptors: list[BoundaryDescriptor] = []
         self.records: list[StepRecord] = []
         self._next_id = 1
         self._index_cls = _CELL_INDEXES[adapter.name]
@@ -588,7 +576,6 @@ class StageBuilder:
         b.cells = dict(stage.cells)
         b.total = stage.total_mass
         b.boundary_points = set(stage.boundary_points)
-        b.boundary_descriptors = list(stage.boundary_descriptors)
         b._next_id = max(stage.cells, default=0) + 1
         b._index = b._index_cls(b.adapter, b.cells)
         for h in stage.inserted:
@@ -634,9 +621,7 @@ class StageBuilder:
             self._spawn(fresh, grant, kind, None, k)
             self.total = self.total + grant
         self._index.absorb(handle.region)
-        descriptor = self.adapter.boundary(handle)
-        self.boundary_descriptors.append(descriptor)
-        self.boundary_points.update(descriptor.points)
+        self.boundary_points.update(self.adapter.boundary(handle).points)
         self.inserted.append(handle)
         self._inserted_regions.add(handle.region)
         self.records.append(
@@ -662,7 +647,6 @@ class StageBuilder:
             inserted=tuple(self.inserted),
             cells=dict(self.cells),
             boundary_points=frozenset(self.boundary_points),
-            boundary_descriptors=tuple(self.boundary_descriptors),
             total_mass=self.total,
             adapter=self.adapter,
         )

@@ -100,6 +100,16 @@ def test_boundary_chain_halving_is_checked(line_d3, monkeypatch):
         certify_boundary(schedule, trace, 1)
 
 
+def test_chain_violation_names_stage_and_block(line_d3, monkeypatch):
+    # a constant kappa: trimming the first cover does not halve it
+    _, schedule, trace = line_d3
+    monkeypatch.setattr(certs, "kappa", lambda stage, d: DyadicMass(3, 6))
+    with pytest.raises(ChainViolation) as err:
+        certify_boundary(schedule, trace, 2)
+    assert err.value.block == (2, 1)
+    assert err.value.stage == trace.final.index
+
+
 def test_boundary_chain_cantor_is_exactly_zero(cantor_d3):
     _, schedule, trace = cantor_d3
     for i in (1, 2, 3):

@@ -4,10 +4,13 @@ import json
 
 import pytest
 
+import dyadicmeasure.certificates as certificates
 import dyadicmeasure.cli as cli
 import dyadicmeasure.masses as masses
-from dyadicmeasure.dyadic import DyadicMass
+from dyadicmeasure.adapters import make_adapter
+from dyadicmeasure.dyadic import ONE, DyadicMass
 from dyadicmeasure.errors import AdditivityViolation, DecayViolation
+from dyadicmeasure.scheduling import build_schedule
 
 T1_BASIS = "# first three insertions\n(0,2)\n(1,3)\n\n(9/4,11/4)\n"
 
@@ -278,6 +281,24 @@ def test_partition_violation_artifact_names_epsilon(capsys, tmp_path, monkeypatc
         "depth": None,
         "epsilon": "1/4",
     }
+
+
+def test_decay_violation_artifact_names_stage_and_block(
+    capsys, tmp_path, monkeypatch
+):
+    # a max cell mass of 1 passes the m = 1 bound and fails at m = 2
+    monkeypatch.setattr(certificates, "max_cell_mass", lambda stage: ONE)
+    target = tmp_path / "violation.json"
+    code, _, _ = run(
+        capsys, "verify", "--adapter", "cantor", "--depth", "2",
+        "--out", str(target),
+    )
+    assert code == 3
+    artifact = json.loads(target.read_text(encoding="utf-8"))
+    schedule, _ = build_schedule(make_adapter("cantor"), 2)
+    assert artifact["error"] == "DecayViolation"
+    assert artifact["block"] == [1, 2]
+    assert artifact["stage"] == schedule.block(1, 2).g
 
 
 def test_violation_default_artifact_path(capsys, tmp_path, monkeypatch):

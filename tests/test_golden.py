@@ -39,6 +39,12 @@ COMMANDS = {
     ),
 }
 
+# sha256 of `dyadicmeasure schedule --adapter cantor --depth 5`, the
+# digest the benchmark's cantor-build-d5 gate holds
+CANTOR_SCHEDULE_D5 = (
+    "3f1c8135af062b59f6a6c53bb23a138a4151e2198bb12e1a1d682ae8b2e2b092"
+)
+
 # outputs too large to check in, pinned by sha256 instead
 DIGESTS = {
     "partition-rational-line-1_8.json": (
@@ -56,6 +62,15 @@ def test_schedule_depth4_matches_golden(tmp_path, adapter):
     assert code == 0
     golden = GOLDEN / f"schedule-{adapter}-d4.json"
     assert out.read_bytes() == golden.read_bytes()
+
+
+def test_cantor_schedule_depth5_digest(tmp_path):
+    out = tmp_path / "schedule.json"
+    code = cli.main(
+        ["schedule", "--adapter", "cantor", "--depth", "5", "--out", str(out)]
+    )
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == CANTOR_SCHEDULE_D5
 
 
 @pytest.mark.parametrize("adapter", ["rational-line", "cantor"])

@@ -90,7 +90,6 @@ def test_max_cell_mass_empty_stage(t1):
         inserted=(),
         cells={},
         boundary_points=frozenset(),
-        boundary_descriptors=(),
         total_mass=DyadicMass.zero(),
         adapter=adapter,
     )

@@ -43,6 +43,15 @@ def test_canonicalize_merges_siblings():
 def test_canonicalize_cascades():
     # sibling merge exposes another merge
     assert cantor_region(["000", "001", "01", "1"]) == CANTOR_ALL
+    assert cantor_region(["0", "100", "101", "11"]) == CANTOR_ALL
+    assert cantor_region(["1", "011", "010", "00"]) == CANTOR_ALL
+    assert cantor_region(["0110", "0111", "010", "1"]) == cantor_region(
+        ["01", "1"]
+    )
+    # a descendant of a merged word is dropped
+    assert cantor_region(["00", "01", "010"]) == cantor_region(["0"])
+    # neither 00 nor 0 is present whole, so nothing merges
+    assert cantor_region(["000", "01", "1"]).prefixes == ("000", "01", "1")
 
 
 def test_rejects_bad_alphabet():
@@ -80,8 +89,14 @@ def test_contains_point_needs_long_words():
 
 
 prefixes = st.lists(
-    st.text(alphabet="01", min_size=0, max_size=4), min_size=0, max_size=4
+    st.text(alphabet="01", min_size=0, max_size=5), min_size=0, max_size=8
 )
+
+
+def canonical(region):
+    """The region itself, after checking it is in canonical form."""
+    assert cantor_region(region.prefixes) == region
+    return region
 
 
 @given(prefixes)
@@ -94,28 +109,35 @@ def test_expansion_round_trip(ps):
 @given(prefixes, prefixes)
 def test_meet_is_intersection(ps, qs):
     x, y = cantor_region(ps), cantor_region(qs)
-    assert expand(cantor_meet(x, y), 5) == expand(x, 5) & expand(y, 5)
+    assert expand(canonical(cantor_meet(x, y)), 5) == expand(x, 5) & expand(y, 5)
 
 
 @given(prefixes, prefixes)
 def test_union_is_union(ps, qs):
     x, y = cantor_region(ps), cantor_region(qs)
-    assert expand(cantor_union(x, y), 5) == expand(x, 5) | expand(y, 5)
+    assert expand(canonical(cantor_union(x, y)), 5) == expand(x, 5) | expand(y, 5)
 
 
 @given(prefixes)
 def test_complement_is_complement(ps):
     x = cantor_region(ps)
-    assert expand(cantor_complement(x), 5) == words(5) - expand(x, 5)
+    assert expand(canonical(cantor_complement(x)), 5) == words(5) - expand(x, 5)
 
 
 @given(prefixes, prefixes)
 def test_minus_is_difference(ps, qs):
     x, y = cantor_region(ps), cantor_region(qs)
-    assert expand(cantor_minus(x, y), 5) == expand(x, 5) - expand(y, 5)
+    assert expand(canonical(cantor_minus(x, y)), 5) == expand(x, 5) - expand(y, 5)
 
 
 @given(prefixes, prefixes)
 def test_subset_matches_expansion(ps, qs):
     x, y = cantor_region(ps), cantor_region(qs)
     assert cantor_subset(x, y) == (expand(x, 5) <= expand(y, 5))
+
+
+@given(prefixes, prefixes)
+def test_closure_strictly_inside_matches_expansion(ps, qs):
+    x, y = cantor_region(ps), cantor_region(qs)
+    # cylinders are clopen: closure(x) inside y with something left over
+    assert cantor_closure_strictly_inside(x, y) == (expand(x, 5) < expand(y, 5))

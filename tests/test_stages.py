@@ -291,6 +291,24 @@ def test_locate_host_cantor():
     assert host(cantor_region(["0"])) is None  # meets both cells
 
 
+def test_locate_host_cantor_skips_sibling_below():
+    # keys 00 and 1: the greatest key below 01 is 00, which is no prefix
+    c = make_adapter(
+        "cantor", injected=[cantor_region(["00"]), cantor_region(["1"])]
+    )
+    builder = StageBuilder(c)
+    for i in (1, 2):
+        builder.insert(c.enumerate(i))
+    assert {cid: x.region.prefixes for cid, x in builder.cells.items()} == {
+        1: ("00",),
+        2: ("1",),
+    }
+    assert builder.locate_host(cantor_region(["01"])) is None
+    assert builder.locate_host(cantor_region(["011"])) is None
+    assert builder.locate_host(cantor_region(["001"])) == 1
+    assert builder.locate_host(cantor_region(["10"])) == 2
+
+
 def test_decompose_cantor():
     stage = _cantor_two_cells().snapshot()
     assert decompose(cantor_region(["00"]), stage).open_cells == {2}
