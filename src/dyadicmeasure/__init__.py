@@ -10,7 +10,6 @@ endpoints and binary words for regions.
 
 from .adapters import (
     BasisHandle,
-    BoundaryDescriptor,
     CantorSpace,
     DEFAULT_SCAN_CAP,
     RationalLine,

@@ -19,9 +19,9 @@ order interleaves two deterministic streams:
   fit inside any residual gap left around those endpoints by the earlier
   middles.
 
-The signature classes are maintained by a shadow insertion run over the
-emitted intervals themselves.  They depend only on the set of emissions,
-not on any insertion order, so they agree with the cells of any schedule
+The signature classes are kept by a massless line cell index that every
+emitted interval refines.  They depend only on the set of emissions, not
+on any insertion order, so they agree with the cells of any schedule
 built over this basis whenever a whole initial segment has been inserted.
 Emitting one interior interval per class instead of one per arrangement
 gap, in the rhythm the diagonal walk consumes them, keeps the basis
@@ -80,6 +80,7 @@ from .regions import (
     line_subset,
     line_union,
 )
+from .stages import _LineCells
 
 DEFAULT_SCAN_CAP = 10**6
 
@@ -93,17 +94,6 @@ class BasisHandle:
 
     def __repr__(self) -> str:
         return f"BasisHandle({self.index}, {self.region!r})"
-
-
-@dataclass(frozen=True)
-class BoundaryDescriptor:
-    """Explicit finite description of a basis element's boundary.
-
-    On the line this is the pair of endpoints; on Cantor space cylinders
-    are clopen and the tuple is empty.
-    """
-
-    points: tuple[Fraction, ...]
 
 
 # -- Calkin-Wilf machinery ---------------------------------------------------
@@ -261,7 +251,8 @@ class SpaceAdapter:
     def closure_strictly_inside(self, a: object, b: object) -> bool:
         raise NotImplementedError
 
-    def boundary(self, v: BasisHandle) -> BoundaryDescriptor:
+    def boundary(self, v: BasisHandle) -> tuple:
+        """The finitely many boundary points of a basis element, in order."""
         raise NotImplementedError
 
     def union(self, a: object, b: object) -> object:
@@ -372,7 +363,6 @@ class _LineStream:
     """
 
     def __init__(self, adapter: "RationalLine") -> None:
-        self._adapter = adapter
         self._emitted: list[LineRegion] = []
         self._position: dict[LineRegion, int] = {}
         self._seed_queue = [interval(a, b) for a, b in _SEEDS]
@@ -381,7 +371,7 @@ class _LineStream:
         self._pack_no = 0
         self._part_queue: list[LineRegion] = []
         self._b_rank = 1
-        self._shadow = None
+        self._classes = _LineCells(adapter, {})
 
     def __len__(self) -> int:
         return len(self._emitted)
@@ -397,17 +387,7 @@ class _LineStream:
     def _emit(self, region: LineRegion) -> None:
         self._emitted.append(region)
         self._position[region] = len(self._emitted)
-        self._shadow_builder().insert(
-            BasisHandle(len(self._emitted), region)
-        )
-
-    def _shadow_builder(self):
-        # imported late: stages imports this module
-        if self._shadow is None:
-            from .stages import StageBuilder
-
-            self._shadow = StageBuilder(self._adapter)
-        return self._shadow
+        self._classes.refine(region)
 
     def _emit_next(self) -> None:
         if (len(self._emitted) + 1) % _COMPLETENESS_STRIDE == 0:
@@ -458,8 +438,8 @@ class _LineStream:
     def _class_middles(self) -> list[LineRegion]:
         """Middle half of the leftmost component of every signature class."""
         out = []
-        for cell in self._shadow_builder().cells.values():
-            lo, hi = cell.region.parts[0]
+        for region in self._classes.regions.values():
+            lo, hi = region.parts[0]
             w = (hi - lo) / 4
             out.append((lo, interval(lo + w, hi - w)))
         out.sort(key=lambda pair: pair[0])
@@ -522,9 +502,8 @@ class RationalLine(SpaceAdapter):
     def closure_strictly_inside(self, a: object, b: object) -> bool:
         return line_closure_strictly_inside(a, b)
 
-    def boundary(self, v: BasisHandle) -> BoundaryDescriptor:
-        (a, b) = v.region.parts[0]
-        return BoundaryDescriptor((a, b))
+    def boundary(self, v: BasisHandle) -> tuple:
+        return v.region.parts[0]
 
     def union(self, a: object, b: object) -> object:
         return line_union(a, b)
@@ -590,8 +569,8 @@ class CantorSpace(SpaceAdapter):
     def closure_strictly_inside(self, a: object, b: object) -> bool:
         return cantor_closure_strictly_inside(a, b)
 
-    def boundary(self, v: BasisHandle) -> BoundaryDescriptor:
-        return BoundaryDescriptor(())
+    def boundary(self, v: BasisHandle) -> tuple:
+        return ()
 
     def union(self, a: object, b: object) -> object:
         return cantor_union(a, b)

@@ -81,14 +81,16 @@ def _stage_rows(stage, adapter) -> dict:
     }
 
 
-def _check_depth(depth: int) -> None:
-    if depth < 1:
-        raise ConfigError(f"--depth must be >= 1, got {depth}")
+def _check_counts(args: argparse.Namespace) -> None:
+    """Reject --depth, --stages and --scan-cap below 1, where given."""
+    for name in ("depth", "stages", "scan_cap"):
+        value = getattr(args, name, None)
+        if value is not None and value < 1:
+            flag = "--" + name.replace("_", "-")
+            raise ConfigError(f"{flag} must be >= 1, got {value}")
 
 
 def _cmd_build(args: argparse.Namespace) -> dict:
-    if args.stages < 1:
-        raise ConfigError(f"--stages must be >= 1, got {args.stages}")
     adapter = _make_adapter(args)
     builder = StageBuilder(adapter)
     table = []
@@ -99,7 +101,6 @@ def _cmd_build(args: argparse.Namespace) -> dict:
 
 
 def _cmd_schedule(args: argparse.Namespace) -> dict:
-    _check_depth(args.depth)
     adapter = _make_adapter(args)
     schedule, _ = build_schedule(adapter, args.depth, args.scan_cap)
     blocks = [
@@ -122,7 +123,6 @@ def _cmd_schedule(args: argparse.Namespace) -> dict:
 
 
 def _cmd_verify(args: argparse.Namespace) -> dict:
-    _check_depth(args.depth)
     adapter = _make_adapter(args)
     schedule, trace = build_schedule(adapter, args.depth, args.scan_cap)
     sampled = trace.stage_at(min(12, len(trace)))
@@ -175,7 +175,6 @@ def _cmd_partition(args: argparse.Namespace) -> dict:
     epsilon = _parse_epsilon(args.epsilon)
     depth = fragmentation_level(epsilon)
     if args.depth is not None:
-        _check_depth(args.depth)
         depth = args.depth
     adapter = _make_adapter(args)
     schedule, trace = build_schedule(adapter, depth, args.scan_cap)
@@ -322,6 +321,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_counts(args)
         payload = args.handler(args)
         if args.format == "csv":
             text = _to_csv(payload)

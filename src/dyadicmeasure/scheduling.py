@@ -194,7 +194,7 @@ def build_schedule(
     for i, j in _diagonal_blocks(depth):
         if j == 1:
             v = adapter.enumerate(i)
-            points = adapter.boundary(v).points
+            points = adapter.boundary(v)
             cover = (
                 adapter.finite_subcover(
                     points, None, frozenset(), frontier + 1, scan_cap
@@ -212,7 +212,7 @@ def build_schedule(
             for h in holes:
                 constraint = adapter.meet_exterior(constraint, h.region)
             v = adapter.enumerate(i)
-            points = adapter.boundary(v).points
+            points = adapter.boundary(v)
             cover = (
                 adapter.finite_subcover(
                     points,

@@ -14,14 +14,13 @@ Mass bookkeeping follows the halving rules exactly:
 * the part of the new set outside the closures of everything inserted
   before it, when nonempty, becomes a fresh cell with mass 2**-k at stage k.
 
-``StageBuilder`` is the insertion engine; ``snapshot`` returns an
-immutable ``Stage``.  The geometry of each space sits behind one cell
-index, ``_LineCells`` or ``_CantorCells``, picked from the adapter's name.
-It finds the cells an insertion splits and the host cell of a candidate
-hole, carves the part of a new set outside the closure of everything
-inserted before, and writes a region as whole cells for ``decompose``.  A
-builder keeps its index up to date; a ``Stage`` builds one from its own
-cells the first time ``decompose`` needs it.
+The geometry of each space sits behind one cell index, ``_LineCells`` or
+``_CantorCells``.  An index owns the cell regions and ids: ``refine``
+splits the cells a new set splits and carves the set outside the closure
+of everything inserted before, ``locate_host`` finds hole hosts and
+``decompose`` writes regions as whole cells.  ``StageBuilder`` keeps the
+masses over its index; ``snapshot`` returns an immutable ``Stage``, which
+builds an index from its own cells when ``decompose`` first needs one.
 """
 
 from __future__ import annotations
@@ -30,10 +29,10 @@ from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter, or_, sub
+from typing import TYPE_CHECKING
 
 from sortedcontainers import SortedDict, SortedList
 
-from .adapters import BasisHandle, SpaceAdapter
 from .dyadic import DyadicMass, ZERO, dyadic_sum
 from .errors import (
     DuplicateInsertion,
@@ -50,6 +49,9 @@ from .regions import (
     line_minus_closure,
     line_subset,
 )
+
+if TYPE_CHECKING:
+    from .adapters import BasisHandle, SpaceAdapter
 
 Signature = tuple[bool, ...]
 
@@ -158,9 +160,7 @@ class Stage:
     def _cell_index(self):
         """The cell index of this stage, built on first use, never copied."""
         if self._index is None:
-            self._index = _CELL_INDEXES[self.adapter.name](
-                self.adapter, self.cells
-            )
+            self._index = _cell_index(self.adapter, self.cells)
         return self._index
 
 
@@ -290,7 +290,45 @@ def _span_entry(cid: int, region: LineRegion) -> tuple:
     return (float(lo), lo, float(hi), hi, cid)
 
 
-class _LineCells:
+class _CellIndex:
+    """Cell regions by id, refined one inserted set at a time.
+
+    Subclasses file regions (``add``, ``remove``), find the cells a new set
+    splits, carve it (``new_region``) and absorb its closure.
+    """
+
+    def __init__(self, adapter: SpaceAdapter, regions: dict[int, object]):
+        self.adapter = adapter
+        self.regions = regions
+        self.next_id = max(regions, default=0) + 1
+
+    def refine(self, region) -> tuple[list[tuple[int, int, int]], int | None]:
+        """Split the cells region splits and carve its fresh part.
+
+        Returns ``(old, inside, outside)`` ids per split cell, ascending by
+        old id, then the fresh cell's id or None; new ids follow that order.
+        """
+        splits = []
+        for old in self.split_cells(region):
+            cell = self.regions.pop(old)
+            self.remove(old, cell)
+            inside = self._spawn(self.adapter.meet(cell, region))
+            outside = self._spawn(self.adapter.meet_exterior(cell, region))
+            splits.append((old, inside, outside))
+        fresh = self.new_region(region)
+        fresh_id = None if fresh.is_empty else self._spawn(fresh)
+        self.absorb(region)
+        return splits, fresh_id
+
+    def _spawn(self, region) -> int:
+        cid = self.next_id
+        self.next_id += 1
+        self.regions[cid] = region
+        self.add(cid, region)
+        return cid
+
+
+class _LineCells(_CellIndex):
     """Cell index of the rational line.
 
     Cell parts sit in one sorted list as ``(lo_float, lo, hi_float, hi,
@@ -302,17 +340,17 @@ class _LineCells:
     already decides, and only float ties pay for exact arithmetic.
     """
 
-    def __init__(self, adapter: SpaceAdapter, cells: dict[int, Cell]) -> None:
-        self.cells = cells
+    def __init__(self, adapter: SpaceAdapter, regions: dict[int, LineRegion]):
+        super().__init__(adapter, regions)
         self._parts = SortedList(
             (float(lo), lo, float(hi), hi, cid)
-            for cid, cell in cells.items()
-            for lo, hi in cell.region.parts
+            for cid, region in regions.items()
+            for lo, hi in region.parts
         )
         self._spans = _SpanIndex()  # cells with two or more parts
-        for cid, cell in cells.items():
-            if len(cell.region.parts) > 1:
-                self._spans.add(_span_entry(cid, cell.region))
+        for cid, region in regions.items():
+            if len(region.parts) > 1:
+                self._spans.add(_span_entry(cid, region))
         self._closures = SortedList()
 
     def add(self, cid: int, region: LineRegion) -> None:
@@ -360,7 +398,7 @@ class _LineCells:
                 for cid in self._spans.stab(x_f, x):
                     if cid in seen:
                         continue
-                    cell_parts = self.cells[cid].region.parts
+                    cell_parts = self.regions[cid].parts
                     # the span ends past a, so some part does; the first
                     # such part meets (a, b) if it starts before b
                     k = bisect_right(cell_parts, a, key=itemgetter(1))
@@ -447,7 +485,7 @@ class _LineCells:
                     f"no cell at stage {stage.index}"
                 )
         for cid in cells_in:
-            if not line_subset(self.cells[cid].region, region):
+            if not line_subset(self.regions[cid], region):
                 raise NotRepresentable(
                     f"cell {cid} pokes outside {region!r} at stage {stage.index}"
                 )
@@ -459,7 +497,7 @@ class _LineCells:
         return RingElement(stage.index, frozenset(cells_in), frozenset(residue))
 
 
-class _CantorCells:
+class _CantorCells(_CellIndex):
     """Cell index of Cantor space.
 
     One sorted map takes every prefix of every cell to its cell.  Cells are
@@ -469,11 +507,10 @@ class _CantorCells:
     as one region; an index built from a stage's cells has it empty.
     """
 
-    def __init__(self, adapter: SpaceAdapter, cells: dict[int, Cell]) -> None:
-        self.adapter = adapter
-        self.cells = cells
+    def __init__(self, adapter: SpaceAdapter, regions: dict[int, CantorRegion]):
+        super().__init__(adapter, regions)
         self._members = SortedDict(
-            (p, cid) for cid, cell in cells.items() for p in cell.region.prefixes
+            (p, cid) for cid, region in regions.items() for p in region.prefixes
         )
         self._covered = cantor_region(())
 
@@ -513,18 +550,18 @@ class _CantorCells:
         w = region.prefixes[0]
         cid = self._holder(w)
         if cid is not None:
-            return [] if self.cells[cid].region.prefixes == (w,) else [cid]
+            return [] if self.regions[cid].prefixes == (w,) else [cid]
         meeting = {self._members[key] for key in self._under(w)}
         return sorted(
             cid
             for cid in meeting
-            if not all(p.startswith(w) for p in self.cells[cid].region.prefixes)
+            if not all(p.startswith(w) for p in self.regions[cid].prefixes)
         )
 
     def locate_host(self, region: CantorRegion) -> int | None:
         w = region.prefixes[0]
         cid = self._holder(w)
-        if cid is None or self.cells[cid].region.prefixes == (w,):
+        if cid is None or self.regions[cid].prefixes == (w,):
             return None
         return cid
 
@@ -541,7 +578,7 @@ class _CantorCells:
         # canonical forms are unique, so the cells' union is the region only
         # if no cell pokes out of it and no part of it is missed (a cell
         # holding a proper prefix of q has no key under q)
-        covered = [p for cid in cells_in for p in self.cells[cid].region.prefixes]
+        covered = [p for cid in cells_in for p in self.regions[cid].prefixes]
         if cantor_region(covered) != region:
             raise NotRepresentable(
                 f"{region!r} is not a union of stage-{stage.index} cells"
@@ -553,8 +590,15 @@ class _CantorCells:
 _CELL_INDEXES = {"rational-line": _LineCells, "cantor": _CantorCells}
 
 
+def _cell_index(adapter: SpaceAdapter, cells: dict[int, Cell]) -> _CellIndex:
+    """A fresh index of the space of adapter, holding the regions of cells."""
+    return _CELL_INDEXES[adapter.name](
+        adapter, {cid: cell.region for cid, cell in cells.items()}
+    )
+
+
 class StageBuilder:
-    """Mutable insertion engine over the cell index of its space."""
+    """Mutable insertion engine: a cell index and the masses of its cells."""
 
     def __init__(self, adapter: SpaceAdapter) -> None:
         self.adapter = adapter
@@ -564,9 +608,7 @@ class StageBuilder:
         self.total = ZERO
         self.boundary_points: set = set()
         self.records: list[StepRecord] = []
-        self._next_id = 1
-        self._index_cls = _CELL_INDEXES[adapter.name]
-        self._index = self._index_cls(adapter, self.cells)
+        self._index = _cell_index(adapter, self.cells)
 
     @classmethod
     def from_stage(cls, stage: Stage) -> "StageBuilder":
@@ -576,8 +618,7 @@ class StageBuilder:
         b.cells = dict(stage.cells)
         b.total = stage.total_mass
         b.boundary_points = set(stage.boundary_points)
-        b._next_id = max(stage.cells, default=0) + 1
-        b._index = b._index_cls(b.adapter, b.cells)
+        b._index = _cell_index(b.adapter, b.cells)
         for h in stage.inserted:
             b._index.absorb(h.region)
         return b
@@ -596,44 +637,24 @@ class StageBuilder:
                 f"basis element {handle.region!r} already inserted"
             )
         k = len(self.inserted) + 1
-        splits = 0
-        for cid in self._index.split_cells(handle.region):
-            cell = self.cells[cid]
-            # split_cells returns only cells that split, so neither
-            # continue should ever fire
-            in_region = self.adapter.meet(cell.region, handle.region)
-            if in_region.is_empty:
-                continue
-            ext_region = self.adapter.meet_exterior(cell.region, handle.region)
-            if ext_region.is_empty:
-                continue
-            self._index.remove(cid, cell.region)
-            del self.cells[cid]
-            half = cell.mass.halve()
-            for piece in (in_region, ext_region):
-                self._spawn(piece, half, "split", cid, k)
-            splits += 1
-        fresh = self._index.new_region(handle.region)
+        splits, fresh = self._index.refine(handle.region)
+        regions = self._index.regions
+        for old, inside, outside in splits:
+            half = self.cells.pop(old).mass.halve()
+            for cid in (inside, outside):
+                self.cells[cid] = Cell(cid, regions[cid], half, "split", old, k)
         grant = None
-        if not fresh.is_empty:
+        if fresh is not None:
             grant = DyadicMass.pow2(k)
             kind = "root" if k == 1 else "new_region"
-            self._spawn(fresh, grant, kind, None, k)
+            self.cells[fresh] = Cell(fresh, regions[fresh], grant, kind, None, k)
             self.total = self.total + grant
-        self._index.absorb(handle.region)
-        self.boundary_points.update(self.adapter.boundary(handle).points)
+        self.boundary_points.update(self.adapter.boundary(handle))
         self.inserted.append(handle)
         self._inserted_regions.add(handle.region)
         self.records.append(
-            StepRecord(k, handle.index, grant, splits, self.total)
+            StepRecord(k, handle.index, grant, len(splits), self.total)
         )
-
-    def _spawn(self, region, mass: DyadicMass, kind: str, parent: int | None,
-               birth: int) -> None:
-        cid = self._next_id
-        self._next_id += 1
-        self.cells[cid] = Cell(cid, region, mass, kind, parent, birth)
-        self._index.add(cid, region)
 
     def snapshot(self) -> Stage:
         audit = dyadic_sum(c.mass for c in self.cells.values())

@@ -3,15 +3,19 @@
 Each test prints one pass line on success; a failed assertion keeps the
 line from printing, so the printed list is the scoreboard.  Everything is
 checked at tolerance zero: dyadic equality or exact Fraction comparison.
+The last two tests pin the depth-5 line schedule and basis by digest, and
+check the enumeration's signature classes against an insertion run.
 """
 
+import hashlib
 import random
 import time
 from fractions import Fraction as F
 
 import pytest
 
-from dyadicmeasure.adapters import make_adapter
+from dyadicmeasure import cli
+from dyadicmeasure.adapters import BasisHandle, make_adapter
 from dyadicmeasure.certificates import (
     build_partition,
     certify_boundary,
@@ -28,6 +32,16 @@ from dyadicmeasure.scheduling import build_schedule
 from dyadicmeasure.stages import StageBuilder
 
 T1_PREFIX = [interval(0, 2), interval(1, 3), interval(F(9, 4), F(11, 4))]
+
+# sha256 of `dyadicmeasure schedule --adapter rational-line --depth 5`, the
+# digest the benchmark's line-build-d5 gate holds
+LINE_SCHEDULE_D5 = (
+    "ef3f95db37df948ee7483ed5faf188ca49cff03acdb52a6dba01169d07a3d391"
+)
+# sha256 of the first 27,436 line regions, one formatted region per line
+LINE_REGIONS_27436 = (
+    "2f9319abd6aa1b757c9f26350d6fddcb0f3d64ec739eb53cc7924a668fda6f29"
+)
 
 
 def _report(number: int, text: str) -> None:
@@ -249,3 +263,32 @@ def test_criterion_11_permutation_invariance():
         checked += len(report.entries)
     _report(11, f"{checked} probe memberships agree across 10 seeded "
                 f"permutations")
+
+
+def test_line_depth5_outputs_pinned(line_d5, monkeypatch, tmp_path):
+    adapter, schedule, trace, _ = line_d5
+    # the schedule command prints the fixture's schedule instead of a rebuild
+    monkeypatch.setattr(cli, "build_schedule", lambda *args: (schedule, trace))
+    out = tmp_path / "schedule.json"
+    assert cli.main(["schedule", "--depth", "5", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == LINE_SCHEDULE_D5
+    assert len(trace) == 27436
+    regions = "".join(
+        adapter.format_region(adapter.enumerate(k).region) + "\n"
+        for k in range(1, 27437)
+    )
+    digest = hashlib.sha256(regions.encode("utf-8")).hexdigest()
+    assert digest == LINE_REGIONS_27436
+
+
+def test_line_stream_classes_are_stage_cells():
+    """The enumeration's massless classes are the cells of an insertion."""
+    adapter = make_adapter("rational-line")
+    stream = adapter._stream
+    builder = StageBuilder(adapter)
+    for k in range(1, 1527):
+        builder.insert(BasisHandle(k, stream.value(k)))
+    assert len(stream) == 1526
+    assert stream._classes.regions == {
+        cid: cell.region for cid, cell in builder.cells.items()
+    }

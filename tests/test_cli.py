@@ -203,16 +203,32 @@ def test_partition_depth_too_small(capsys):
 
 
 @pytest.mark.parametrize(
-    "command",
-    [["schedule"], ["verify"], ["partition", "1/8"]],
-    ids=["schedule", "verify", "partition"],
+    "command, flag",
+    [
+        (["schedule"], "--depth"),
+        (["verify"], "--depth"),
+        (["partition", "1/8"], "--depth"),
+        (["build"], "--stages"),
+        (["schedule"], "--scan-cap"),
+        (["verify"], "--scan-cap"),
+        (["partition", "1/8"], "--scan-cap"),
+    ],
+    ids=[
+        "schedule",
+        "verify",
+        "partition",
+        "build-stages",
+        "schedule-scan-cap",
+        "verify-scan-cap",
+        "partition-scan-cap",
+    ],
 )
-@pytest.mark.parametrize("depth", ["0", "-1"])
-def test_depth_below_one_is_a_config_error(capsys, command, depth):
-    code, out, err = run(capsys, *command, "--depth", depth)
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_depth_below_one_is_a_config_error(capsys, command, flag, value):
+    code, out, err = run(capsys, *command, flag, value)
     assert code == 2
     assert out == ""
-    assert f"config error: --depth must be >= 1, got {depth}" in err
+    assert f"config error: {flag} must be >= 1, got {value}" in err
 
 
 # -- failure plumbing ---------------------------------------------------------

@@ -5,9 +5,9 @@ adapter: ``schedule --depth 4``, ``verify --depth 3``, ``partition 1/8``
 and ``build --stages 6 --format csv``.  The line partition certificate is
 324 KB, so only its sha256 is kept.  Together with the digest of the first
 1,526 canonical line regions (the basis a depth-4 line schedule reaches,
-which the shadow insertion run of the enumeration shapes), they run the
-insertion engine, ``decompose``, every certificate and the CSV export, and
-catch any change of an exact output in seconds.  Regenerate a golden file
+shaped by the enumeration's massless class index), they run the insertion
+engine, ``decompose``, every certificate and the CSV export, and catch
+any change of an exact output in seconds.  Regenerate a golden file
 only when an output is meant to change, e.g. ``dyadicmeasure schedule
 --adapter A --depth 4 --out tests/golden/schedule-A-d4.json``.
 """

@@ -1,15 +1,17 @@
-"""Differential oracle for the cells an insertion splits.
+"""Differential oracle for the refinement step of the cell index.
 
-``StageBuilder.insert`` asks the cell index of its space for the cells
-it splits: on the line two bisects of the cell parts at the ends of the
-new interval and a stabbing query on the spans of multi-part cells, on
-Cantor space a walk over the ancestors and one range of the descendants
-of the new cylinder.  The oracle here checks every cell of the stage
-with ``meet`` and ``meet_exterior``: a cell splits exactly when both are
-nonempty.  Before each insertion the index's candidate cells must equal
-the oracle's on both spaces; after it, the cells that disappeared must
-be the oracle's, and their children must be numbered in ascending
-parent order.
+``StageBuilder.insert`` asks the cell index of its space to refine its
+cells by the new set: on the line two bisects of the cell parts at the
+ends of the new interval and a stabbing query on the spans of multi-part
+cells find the cells it splits, on Cantor space a walk over the ancestors
+and one range of the descendants of the new cylinder.  The oracle here
+refines by brute force: it checks every cell with ``meet`` and
+``meet_exterior``, so a cell splits exactly when both are nonempty, and
+it carves the fresh part as the new set minus the closure of every
+earlier one, one ``meet_exterior`` at a time.  Before each insertion the
+index's candidate cells must equal the oracle's on both spaces; after it,
+the index's regions must equal the oracle's, id for id, and the builder's
+cells must carry them with the split cells as parents.
 """
 
 from __future__ import annotations
@@ -63,26 +65,47 @@ cantor_sequences = st.lists(
 )
 
 
-def split_by_oracle(builder: StageBuilder, region) -> list[int]:
-    adapter = builder.adapter
-    return sorted(
-        cid
-        for cid, cell in builder.cells.items()
-        if not adapter.meet(cell.region, region).is_empty
-        and not adapter.meet_exterior(cell.region, region).is_empty
-    )
+def refine_by_oracle(adapter, cells: dict, inserted: list, region, next_id):
+    """The oracle's cells after inserting region, and the ids it splits.
+
+    Split cells get the next two ids, inside then outside, in ascending
+    order of the old id; a nonempty fresh part gets the id after them.
+    """
+    refined = {}
+    split = []
+    for cid in sorted(cells):
+        inside = adapter.meet(cells[cid], region)
+        outside = adapter.meet_exterior(cells[cid], region)
+        if inside.is_empty or outside.is_empty:
+            refined[cid] = cells[cid]
+            continue
+        split.append(cid)
+        refined[next_id], refined[next_id + 1] = inside, outside
+        next_id += 2
+    fresh = region
+    for earlier in inserted:
+        if fresh.is_empty:
+            break
+        fresh = adapter.meet_exterior(fresh, earlier)
+    if not fresh.is_empty:
+        refined[next_id] = fresh
+    return refined, split
 
 
 def insert_against_oracle(adapter_name: str, regions) -> None:
     builder = StageBuilder(make_adapter(adapter_name))
+    adapter = builder.adapter
+    cells: dict = {}
     for k, region in enumerate(regions, start=1):
-        expected = split_by_oracle(builder, region)
+        first_new = builder._index.next_id
+        cells, expected = refine_by_oracle(
+            adapter, cells, regions[: k - 1], region, first_new
+        )
         # the split loop gets no cell that persists
         assert builder._index.split_cells(region) == expected
-        before = set(builder.cells)
-        first_new = builder._next_id
         builder.insert(BasisHandle(k, region))
-        assert sorted(before - set(builder.cells)) == expected
+        assert builder._index.regions == cells
+        assert {cid: c.region for cid, c in builder.cells.items()} == cells
         assert builder.records[-1].splits == len(expected)
         parents = [
             cell.parent_id
