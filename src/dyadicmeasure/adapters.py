@@ -85,7 +85,7 @@ from .stages import _LineCells
 DEFAULT_SCAN_CAP = 10**6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BasisHandle:
     """An enumerated basis element: its 1-based index and its region."""
 
@@ -438,12 +438,10 @@ class _LineStream:
     def _class_middles(self) -> list[LineRegion]:
         """Middle half of the leftmost component of every signature class."""
         out = []
-        for region in self._classes.regions.values():
-            lo, hi = region.parts[0]
+        for lo, hi in self._classes.leftmost_parts():
             w = (hi - lo) / 4
-            out.append((lo, interval(lo + w, hi - w)))
-        out.sort(key=lambda pair: pair[0])
-        return [region for _, region in out]
+            out.append(interval(lo + w, hi - w))
+        return out
 
     def rank_bound(self, region: LineRegion) -> int:
         """Completeness rank of region; its slot is at most 16 times this."""

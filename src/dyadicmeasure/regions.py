@@ -14,7 +14,10 @@ operation is one walk: a stack pass canonicalizes, meet walks both
 antichains side by side, and minus walks x with one bisect into y per
 prefix.  Meet and minus build canonical output as they go.
 
-All functions are total and exact; nothing here approximates.
+All functions are total and exact; nothing here approximates.  Line
+regions compare their ``Fraction`` endpoints directly, with no float
+filter: this module is the plain reference that the keyed line cell index
+in ``stages`` is checked against (``tests/test_split_oracle.py``).
 """
 
 from __future__ import annotations
@@ -115,20 +118,29 @@ def line_meet_exterior(x: LineRegion, v: LineRegion) -> LineRegion:
 
 
 def line_minus_closure(x: LineRegion, closed: Sequence[Interval]) -> LineRegion:
-    """x minus a union of closed intervals [a, b]; exact and open."""
-    parts = list(x.parts)
-    for a, b in closed:
-        nxt: list[Interval] = []
-        for lo, hi in parts:
-            if hi <= a or lo >= b:
-                nxt.append((lo, hi))
-                continue
-            if lo < a:
-                nxt.append((lo, a))
-            if hi > b:
-                nxt.append((b, hi))
-        parts = nxt
-    return LineRegion(tuple(parts))
+    """x minus a union of closed intervals [a, b] sorted by a; exact and open.
+
+    One merge walk: each part of x is cut by the closed intervals that start
+    before it ends, from the first one that ends after it starts.
+    """
+    out: list[Interval] = []
+    j = 0
+    for lo, hi in x.parts:
+        # an interval ending at or before lo misses this part and every later one
+        while j < len(closed) and closed[j][1] <= lo:
+            j += 1
+        cursor = lo
+        k = j
+        while k < len(closed) and closed[k][0] < hi:
+            a, b = closed[k]
+            if a > cursor:
+                out.append((cursor, a))
+            if b > cursor:
+                cursor = b
+            k += 1
+        if cursor < hi:
+            out.append((cursor, hi))
+    return LineRegion(tuple(out))
 
 
 def line_union(x: LineRegion, y: LineRegion) -> LineRegion:

@@ -208,22 +208,22 @@ def build_schedule(
             holes, hole_hosts = _hole_sweep(
                 adapter, builder, frontier + 1, scan_cap
             )
-            constraint = prev_cover_region[i]
-            for h in holes:
-                constraint = adapter.meet_exterior(constraint, h.region)
             v = adapter.enumerate(i)
             points = adapter.boundary(v)
-            cover = (
-                adapter.finite_subcover(
+            cover = ()
+            if points:
+                # the exterior of a finite union is the meet of the exteriors
+                constraint = adapter.meet_exterior(
+                    prev_cover_region[i],
+                    adapter.union_all(h.region for h in holes),
+                )
+                cover = adapter.finite_subcover(
                     points,
                     constraint,
                     frozenset(h.index for h in holes),
                     frontier + 1,
                     scan_cap,
                 )
-                if points
-                else ()
-            )
         hole_set = {h.index for h in holes}
         cover_set = {h.index for h in cover}
         selected = hole_set | cover_set

@@ -46,7 +46,7 @@ from .regions import (
     LineRegion,
     cantor_minus,
     cantor_region,
-    line_minus_closure,
+    line_minus_closure,  # unused here: the benchmark tracer patches this name
     line_subset,
 )
 
@@ -56,7 +56,7 @@ if TYPE_CHECKING:
 Signature = tuple[bool, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Cell:
     """One signature class: a region with its dyadic mass and provenance.
 
@@ -74,7 +74,7 @@ class Cell:
     birth_stage: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StepRecord:
     """Exact mass accounting for one insertion, kept for long traces."""
 
@@ -222,13 +222,37 @@ def ring_difference(d1: RingElement, d2: RingElement) -> RingElement:
     return _combine(d1, d2, sub)
 
 
+def line_key(x: Fraction) -> tuple[float, float, Fraction]:
+    """Exact sort key of a rational x: ``(h, e, x)``.
+
+    h is float(x) and e is float(x - h): a two-term float expansion of x
+    (Shewchuk, 1997) used as a filter (Fortune and Van Wyk, 1996).  Both
+    are correctly rounded from integer ratios, so h is a non-strictly
+    monotone function of x, and so is e among the values that share h.
+    The triple therefore orders exactly like x: unequal float pairs decide
+    at float speed, and only equal pairs compare x itself.  A zero error
+    term is the one ``0.0`` constant of this function, shared by all keys.
+    """
+    n, d = x.numerator, x.denominator
+    h = n / d
+    hn, hd = h.as_integer_ratio()
+    r = n * hd - hn * d
+    return h, (r / (d * hd) if r else 0.0), x
+
+
+def _line_entry(lo: Fraction, hi: Fraction, cid: int) -> tuple:
+    """Flat keyed entry ``(lo_h, lo_e, lo, hi_h, hi_e, hi, cid)``."""
+    return line_key(lo) + line_key(hi) + (cid,)
+
+
 class _SpanIndex:
     """Stabbing index over the spans of multi-part line cells.
 
-    A span runs from a cell's first ``lo`` to its last ``hi``.  Entries
-    ``(lo_float, lo, hi_float, hi, cell_id)`` sit sorted in blocks of
-    bounded size, and each block caches the largest float ``hi`` it holds,
-    so a query only opens blocks that hold a span reaching past the point.
+    A span runs from a cell's first ``lo`` to its last ``hi``.  Keyed
+    entries ``(lo_h, lo_e, lo, hi_h, hi_e, hi, cell_id)`` sit sorted in
+    blocks of bounded size, and each block caches the largest ``hi_h`` it
+    holds, so a query only opens blocks that hold a span reaching past the
+    point.
     """
 
     _LOAD = 64
@@ -242,21 +266,21 @@ class _SpanIndex:
         if not self._blocks:
             self._blocks.append([entry])
             self._firsts.append(entry)
-            self._max_hi.append(entry[2])
+            self._max_hi.append(entry[3])
             return
         i = max(bisect_right(self._firsts, entry) - 1, 0)
         block = self._blocks[i]
         insort(block, entry)
         self._firsts[i] = block[0]
-        if entry[2] > self._max_hi[i]:
-            self._max_hi[i] = entry[2]
+        if entry[3] > self._max_hi[i]:
+            self._max_hi[i] = entry[3]
         if len(block) > 2 * self._LOAD:
             tail = block[self._LOAD:]
             del block[self._LOAD:]
             self._blocks.insert(i + 1, tail)
             self._firsts.insert(i + 1, tail[0])
-            self._max_hi[i] = max(e[2] for e in block)
-            self._max_hi.insert(i + 1, max(e[2] for e in tail))
+            self._max_hi[i] = max(e[3] for e in block)
+            self._max_hi.insert(i + 1, max(e[3] for e in tail))
 
     def remove(self, entry: tuple) -> None:
         i = bisect_right(self._firsts, entry) - 1
@@ -266,35 +290,29 @@ class _SpanIndex:
             del self._blocks[i], self._firsts[i], self._max_hi[i]
             return
         self._firsts[i] = block[0]
-        if entry[2] == self._max_hi[i]:
-            self._max_hi[i] = max(e[2] for e in block)
+        if entry[3] == self._max_hi[i]:
+            self._max_hi[i] = max(e[3] for e in block)
 
-    def stab(self, x_f: float, x: Fraction) -> list[int]:
-        """Ids of cells whose span strictly contains x."""
-        key = (x_f, x)
+    def stab(self, key: tuple) -> list[int]:
+        """Ids of cells whose span strictly contains the point of key."""
         out = []
         for i in range(bisect_left(self._firsts, key)):
-            if self._max_hi[i] < x_f:
+            if self._max_hi[i] < key[0]:
                 continue
-            for lo_f, lo, hi_f, hi, cid in self._blocks[i]:
-                if lo_f > x_f or (lo_f == x_f and lo >= x):
+            for entry in self._blocks[i]:
+                if entry[:3] >= key:
                     break
-                if hi_f > x_f or (hi_f == x_f and hi > x):
-                    out.append(cid)
+                if entry[3:6] > key:
+                    out.append(entry[6])
         return out
-
-
-def _span_entry(cid: int, region: LineRegion) -> tuple:
-    lo = region.parts[0][0]
-    hi = region.parts[-1][1]
-    return (float(lo), lo, float(hi), hi, cid)
 
 
 class _CellIndex:
     """Cell regions by id, refined one inserted set at a time.
 
-    Subclasses file regions (``add``, ``remove``), find the cells a new set
-    splits, carve it (``new_region``) and absorb its closure.
+    Subclasses file regions (``add``), find the cells a new set splits,
+    refile each as its pieces inside and outside the set (``_split``), carve
+    the set (``new_region``) and absorb its closure.
     """
 
     def __init__(self, adapter: SpaceAdapter, regions: dict[int, object]):
@@ -310,11 +328,7 @@ class _CellIndex:
         """
         splits = []
         for old in self.split_cells(region):
-            cell = self.regions.pop(old)
-            self.remove(old, cell)
-            inside = self._spawn(self.adapter.meet(cell, region))
-            outside = self._spawn(self.adapter.meet_exterior(cell, region))
-            splits.append((old, inside, outside))
+            splits.append((old, *self._split(old, region)))
         fresh = self.new_region(region)
         fresh_id = None if fresh.is_empty else self._spawn(fresh)
         self.absorb(region)
@@ -331,39 +345,67 @@ class _CellIndex:
 class _LineCells(_CellIndex):
     """Cell index of the rational line.
 
-    Cell parts sit in one sorted list as ``(lo_float, lo, hi_float, hi,
-    cell_id)``; parts are disjoint.  Cells with two or more parts also sit
-    in a ``_SpanIndex``.  The closures of the inserted intervals are kept
-    merged, as sorted closed intervals ``(lo, hi)``; an index built from a
-    stage's cells has none.  Floats guard the exact comparisons: float
-    conversion of a rational is monotone, so strict float inequality
-    already decides, and only float ties pay for exact arithmetic.
+    Cell parts sit in one sorted list as flat keyed entries ``(lo_h, lo_e,
+    lo, hi_h, hi_e, hi, cell_id)``, where ``(lo_h, lo_e, lo)`` is
+    ``line_key(lo)``; parts are disjoint.  Cells with two or more parts also
+    sit in a ``_SpanIndex``, built when ``split_cells`` first needs it, so
+    an index that only decomposes never builds one.  The closures of the
+    inserted intervals are kept merged, as sorted closed intervals ``(lo_h,
+    lo_e, lo, hi_h, hi_e, hi)``; an index built from a stage's cells has
+    none.
+
+    Every comparison goes through the keys, which order exactly like the
+    rationals.  A key of one float is not enough: the straddlers around 0
+    and 1 have half-widths ``4**-(P*P)`` that round away, so their
+    endpoints tie in float with 0 or 1 (or with each other) exactly in the
+    hottest comparisons.  The float error term separates them, and only
+    values that agree to about 106 bits pay for a ``Fraction`` comparison.
     """
 
     def __init__(self, adapter: SpaceAdapter, regions: dict[int, LineRegion]):
         super().__init__(adapter, regions)
         self._parts = SortedList(
-            (float(lo), lo, float(hi), hi, cid)
+            _line_entry(lo, hi, cid)
             for cid, region in regions.items()
             for lo, hi in region.parts
         )
-        self._spans = _SpanIndex()  # cells with two or more parts
-        for cid, region in regions.items():
-            if len(region.parts) > 1:
-                self._spans.add(_span_entry(cid, region))
+        self._spans: _SpanIndex | None = None  # cells with two or more parts
         self._closures = SortedList()
+        self._ends_of: tuple = (None, None, None)
 
     def add(self, cid: int, region: LineRegion) -> None:
-        for lo, hi in region.parts:
-            self._parts.add((float(lo), lo, float(hi), hi, cid))
-        if len(region.parts) > 1:
-            self._spans.add(_span_entry(cid, region))
+        self._file(cid, [(line_key(lo), line_key(hi)) for lo, hi in region.parts])
 
-    def remove(self, cid: int, region: LineRegion) -> None:
-        for lo, hi in region.parts:
-            self._parts.remove((float(lo), lo, float(hi), hi, cid))
-        if len(region.parts) > 1:
-            self._spans.remove(_span_entry(cid, region))
+    def _file(self, cid: int, keyed: list[tuple[tuple, tuple]]) -> None:
+        """Enter cell cid, given as the keys ``(lo, hi)`` of its parts."""
+        for k_lo, k_hi in keyed:
+            self._parts.add(k_lo + k_hi + (cid,))
+        if self._spans is not None and len(keyed) > 1:
+            self._spans.add(keyed[0][0] + keyed[-1][1] + (cid,))
+
+    def _ends(self, region: LineRegion) -> tuple[tuple, tuple]:
+        """Keys of the endpoints of a new interval, kept for its refinement."""
+        if self._ends_of[0] is not region:
+            a, b = region.parts[0]
+            self._ends_of = (region, line_key(a), line_key(b))
+        return self._ends_of[1], self._ends_of[2]
+
+    def _span_index(self) -> _SpanIndex:
+        if self._spans is None:
+            self._spans = _SpanIndex()
+            for cid, region in self.regions.items():
+                if len(region.parts) > 1:
+                    lo, hi = region.parts[0][0], region.parts[-1][1]
+                    self._spans.add(_line_entry(lo, hi, cid))
+        return self._spans
+
+    def leftmost_parts(self):
+        """``(lo, hi)`` of each cell's leftmost part, ascending."""
+        seen: set[int] = set()
+        for entry in self._parts:
+            if entry[6] not in seen:
+                seen.add(entry[6])
+                yield entry[2], entry[5]
 
     def split_cells(self, region: LineRegion) -> list[int]:
         """Ids of the cells the insertion of region splits, ascending.
@@ -378,24 +420,22 @@ class _LineCells(_CellIndex):
         inside a wide interval, though not bounded by the cells it returns.
         """
         seen: set[int] = set()
-        a, b = region.parts[0]
-        a_f, b_f = float(a), float(b)
+        ka, kb = self._ends(region)
         parts = self._parts
-        start = parts.bisect_left((a_f, a))
-        stop = parts.bisect_left((b_f, b))
-        if start > 0:
-            _, _, hi_f, hi, cid = parts[start - 1]
-            # parts are disjoint, so at most this one contains a
-            if hi_f > a_f or (hi_f == a_f and hi > a):
-                seen.add(cid)
+        start = parts.bisect_left(ka)
+        stop = parts.bisect_left(kb)
+        # parts are disjoint, so at most one part contains a
+        if start > 0 and parts[start - 1][3:6] > ka:
+            seen.add(parts[start - 1][6])
         # with no part starting in [a, b), only the straddler of a meets
         # (a, b)
         if stop > start:
-            _, _, hi_f, hi, cid = parts[stop - 1]
-            if hi_f > b_f or (hi_f == b_f and hi > b):
-                seen.add(cid)  # straddles b
-            for x_f, x in ((a_f, a), (b_f, b)):
-                for cid in self._spans.stab(x_f, x):
+            if parts[stop - 1][3:6] > kb:
+                seen.add(parts[stop - 1][6])  # straddles b
+            a, b = region.parts[0]
+            spans = self._span_index()
+            for key in (ka, kb):
+                for cid in spans.stab(key):
                     if cid in seen:
                         continue
                     cell_parts = self.regions[cid].parts
@@ -406,50 +446,91 @@ class _LineCells(_CellIndex):
                         seen.add(cid)
         return sorted(seen)
 
+    def _split(self, old: int, region: LineRegion) -> tuple[int, int]:
+        """Refile cell old as two cells, its parts inside (a, b) and outside
+        [a, b], and return their ids.
+
+        One keyed pass over the cell's parts: each endpoint is keyed once,
+        and the key serves the removal, the cut and the new entries.
+        """
+        cell = self.regions.pop(old)
+        ka, kb = self._ends(region)
+        keyed = [(line_key(lo), line_key(hi)) for lo, hi in cell.parts]
+        if self._spans is not None and len(keyed) > 1:
+            self._spans.remove(keyed[0][0] + keyed[-1][1] + (old,))
+        inside: list = []
+        outside: list = []
+        for k_lo, k_hi in keyed:
+            self._parts.remove(k_lo + k_hi + (old,))
+            if k_hi <= ka or k_lo >= kb:
+                outside.append((k_lo, k_hi))
+                continue
+            before_a, past_b = k_lo < ka, k_hi > kb
+            if before_a:
+                outside.append((k_lo, ka))
+            inside.append((ka if before_a else k_lo, kb if past_b else k_hi))
+            if past_b:
+                outside.append((kb, k_hi))
+        return self._spawn_keyed(inside), self._spawn_keyed(outside)
+
+    def _spawn_keyed(self, keyed: list[tuple[tuple, tuple]]) -> int:
+        cid = self.next_id
+        self.next_id += 1
+        self.regions[cid] = LineRegion(tuple((lo[2], hi[2]) for lo, hi in keyed))
+        self._file(cid, keyed)
+        return cid
+
     def locate_host(self, region: LineRegion) -> int | None:
         a, b = region.parts[0]
-        idx = self._parts.bisect_left((float(a), a))
+        idx = self._parts.bisect_left(line_key(a))
         if idx == 0:
             return None
-        _, lo, _, hi, cid = self._parts[idx - 1]
-        if lo < a and b < hi:
-            return cid
+        # the part before the bisect starts strictly before a
+        entry = self._parts[idx - 1]
+        if entry[3:6] > line_key(b):
+            return entry[6]
         return None
 
     def new_region(self, region: LineRegion) -> LineRegion:
-        a, b = region.parts[0]
-        overlapping = []
-        idx = self._closure_scan_start(a)
-        while idx < len(self._closures):
-            clo, chi = self._closures[idx]
-            if clo >= b:
+        """Region minus the closures, built by one walk over them."""
+        ka, kb = self._ends(region)
+        closures = self._closures
+        out = []
+        cursor = ka
+        idx = self._closure_scan_start(ka)
+        while idx < len(closures):
+            c = closures[idx]
+            if c[:3] >= kb:
                 break
-            if chi > a:
-                overlapping.append((clo, chi))
+            if c[:3] > cursor:
+                out.append((cursor[2], c[2]))
+            if c[3:6] > cursor:
+                cursor = c[3:6]
             idx += 1
-        return line_minus_closure(region, overlapping)
+        if cursor < kb:
+            out.append((cursor[2], kb[2]))
+        return LineRegion(tuple(out))
 
     def absorb(self, region: LineRegion) -> None:
-        a, b = region.parts[0]
-        lo, hi = a, b
-        doomed = []
-        idx = self._closure_scan_start(a)
-        while idx < len(self._closures):
-            clo, chi = self._closures[idx]
-            if clo > b:
+        ka, kb = self._ends(region)
+        closures = self._closures
+        first = idx = self._closure_scan_start(ka)
+        lo, hi = ka, kb
+        while idx < len(closures):
+            c = closures[idx]
+            if c[:3] > kb:
                 break
-            # touching closed intervals merge
-            doomed.append((clo, chi))
-            lo = min(lo, clo)
-            hi = max(hi, chi)
+            # touching closed intervals merge; only the first can start
+            # before a and only the last end after b
+            lo = min(lo, c[:3])
+            hi = max(hi, c[3:6])
             idx += 1
-        for item in doomed:
-            self._closures.remove(item)
-        self._closures.add((lo, hi))
+        del closures[first:idx]
+        closures.add(lo + hi)
 
-    def _closure_scan_start(self, a: Fraction) -> int:
-        idx = self._closures.bisect_left((a,))
-        if idx > 0 and self._closures[idx - 1][1] >= a:
+    def _closure_scan_start(self, ka: tuple) -> int:
+        idx = self._closures.bisect_left(ka)
+        if idx > 0 and self._closures[idx - 1][3:6] >= ka:
             idx -= 1
         return idx
 
@@ -458,31 +539,34 @@ class _LineCells(_CellIndex):
         cells_in: set[int] = set()
         residue: set[Fraction] = set()
         for p, q in region.parts:
+            kp, kq = line_key(p), line_key(q)
             # a part straddling p leaves the open gap after p uncovered
-            idx = parts.bisect_left((float(p), p))
-            cursor = p
+            idx = parts.bisect_left(kp)
+            cursor = kp
             while idx < len(parts):
-                _, lo, _, hi, cid = parts[idx]
-                if lo >= q:
+                entry = parts[idx]
+                if entry[:3] >= kq:
                     break
-                if lo > cursor:
+                if entry[:3] > cursor:
                     raise NotRepresentable(
-                        f"the open gap ({cursor},{lo}) of {region!r} is "
-                        f"covered by no cell at stage {stage.index}"
+                        f"the open gap ({cursor[2]},{entry[2]}) of {region!r} "
+                        f"is covered by no cell at stage {stage.index}"
                     )
-                if cursor != p:
-                    residue.add(cursor)
-                if hi > q:
+                # every part from the bisect on starts at p or later, so
+                # the cursor leaves p for good at the first part
+                if cursor is not kp:
+                    residue.add(cursor[2])
+                if entry[3:6] > kq:
                     raise NotRepresentable(
                         f"a cell straddles the right endpoint {q} of {region!r}"
                     )
-                cells_in.add(cid)
-                cursor = hi
+                cells_in.add(entry[6])
+                cursor = entry[3:6]
                 idx += 1
-            if cursor != q:
+            if cursor != kq:
                 raise NotRepresentable(
-                    f"the open gap ({cursor},{q}) of {region!r} is covered by "
-                    f"no cell at stage {stage.index}"
+                    f"the open gap ({cursor[2]},{q}) of {region!r} is covered "
+                    f"by no cell at stage {stage.index}"
                 )
         for cid in cells_in:
             if not line_subset(self.regions[cid], region):
@@ -564,6 +648,14 @@ class _CantorCells(_CellIndex):
         if cid is None or self.regions[cid].prefixes == (w,):
             return None
         return cid
+
+    def _split(self, old: int, region: CantorRegion) -> tuple[int, int]:
+        cell = self.regions.pop(old)
+        self.remove(old, cell)
+        return (
+            self._spawn(self.adapter.meet(cell, region)),
+            self._spawn(self.adapter.meet_exterior(cell, region)),
+        )
 
     def new_region(self, region: CantorRegion) -> CantorRegion:
         return cantor_minus(region, self._covered)

@@ -16,10 +16,12 @@ from dyadicmeasure.errors import (
 )
 from dyadicmeasure.masses import kappa
 from dyadicmeasure.regions import cantor_region, interval, line_region
+from dyadicmeasure.scheduling import build_schedule
 from dyadicmeasure.stages import (
     RingElement,
     StageBuilder,
     decompose,
+    line_key,
     ring_difference,
     ring_union,
 )
@@ -349,3 +351,80 @@ def test_insertion_order_keeps_stage_sound(order):
         # signatures are a bijection onto cells
         sigs = {stage.signature_of(cid) for cid in stage.cells}
         assert len(sigs) == len(stage.cells)
+
+
+# -- the exact key of the line index ------------------------------------------
+
+
+def _key_probe_values() -> list[F]:
+    """Distinct rationals that crowd the places floats cannot separate."""
+    values = {F(0), F(1), F(-1, 3), F(1, 3), F(2, 3)}
+    # straddler ends of every walk position a line schedule reaches
+    for p in range(1, 16):
+        d = F(1, 4 ** (p * p))
+        for t in (0, 1):
+            values.update((t - d, t + d, t - 3 * d / 4, t + d / 4))
+    # subnormals and below next to 0, the same offsets next to 1
+    for k in (1022, 1060, 1074, 1075, 1076, 1100, 1200):
+        for t in (0, 1):
+            values.update((t - F(1, 2**k), t + F(1, 2**k), t + F(3, 2 ** (k + 1))))
+    # non-dyadics, and offsets beyond the reach of the error term
+    for k in (60, 110, 200):
+        values.update((F(1, 3) + F(1, 2**k), F(1, 3) - F(1, 2**k)))
+        values.update((1 + F(1, 2**60) + F(1, 2**k), 1 + F(1, 2**60) - F(1, 2**k)))
+    return sorted(values)
+
+
+def test_line_key_sorts_like_the_values():
+    values = _key_probe_values()
+    keys = [line_key(x) for x in values]
+    # strictly increasing: the order is exact and equal keys only come
+    # from equal values
+    assert all(k < nxt for k, nxt in zip(keys, keys[1:]))
+    for x, (h, e, same) in zip(values, keys):
+        assert same is x
+        assert h == float(x)
+        assert e == float(x - F(h))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from((0, 1, F(1, 3))),
+            st.integers(-3, 3),
+            st.integers(1, 1200),
+            st.integers(-3, 3),
+            st.integers(0, 200),
+        ),
+        min_size=2,
+        max_size=12,
+    )
+)
+def test_line_key_compares_like_the_values(terms):
+    """t + u 2**-k + v 2**-(k+m): near ties in the first float, the second, or both."""
+    values = [t + F(u, 2**k) + F(v, 2 ** (k + m)) for t, u, k, v, m in terms]
+    for x in values:
+        for y in values:
+            assert (line_key(x) < line_key(y)) == (x < y)
+            assert (line_key(x) == line_key(y)) == (x == y)
+
+
+def test_line_depth4_build_comparison_budget(monkeypatch):
+    """The line index compares keys, and a Fraction only on a key tie.
+
+    A depth-4 line build made 109,747 Fraction comparisons when the index
+    compared the rationals themselves, with a float only as a first guard;
+    the budget is a fifth of that.
+    """
+    calls = 0
+    original = F._richcmp
+
+    def counting(self, other, op):
+        nonlocal calls
+        calls += 1
+        return original(self, other, op)
+
+    monkeypatch.setattr(F, "_richcmp", counting)
+    build_schedule(make_adapter("rational-line"), 4)
+    assert calls <= 21_949
