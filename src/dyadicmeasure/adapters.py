@@ -19,10 +19,10 @@ order interleaves two deterministic streams:
   fit inside any residual gap left around those endpoints by the earlier
   middles.
 
-The signature classes are kept by a massless line cell index that every
-emitted interval refines.  They depend only on the set of emissions, not
-on any insertion order, so they agree with the cells of any schedule
-built over this basis whenever a whole initial segment has been inserted.
+The signature classes are kept by a massless line cell index, refined by
+the emissions made so far when a pack reads it.  They depend only on the
+set of emissions, not on any insertion order, so they agree with the cells
+of any schedule built over this basis on a whole initial segment.
 Emitting one interior interval per class instead of one per arrangement
 gap, in the rhythm the diagonal walk consumes them, keeps the basis
 growth linear in the number of cells a schedule has to drill, which is
@@ -80,7 +80,7 @@ from .regions import (
     line_subset,
     line_union,
 )
-from .stages import _LineCells
+from .stages import _CantorCells, _CellIndex, _LineCells
 
 DEFAULT_SCAN_CAP = 10**6
 
@@ -170,6 +170,7 @@ class SpaceAdapter:
     """
 
     name: str = ""
+    cell_index: type[_CellIndex]  # the stage engine's index of this space
 
     def __init__(self, injected: Sequence[object] = ()) -> None:
         for r in injected:
@@ -178,10 +179,9 @@ class SpaceAdapter:
             raise DuplicateInsertion("injected basis elements must be distinct")
         self._injected = tuple(injected)
         self._injected_pos = {r: i + 1 for i, r in enumerate(injected)}
-        self._injected_set = set(injected)
-        self._filtered: list[object] = []
+        # handle k at k - 1: the injected ones, then the canonical order
+        self._handles = [BasisHandle(i + 1, r) for i, r in enumerate(injected)]
         self._canonical_cursor = 0
-        self._handles: dict[int, BasisHandle] = {}
 
     # subclass hooks ---------------------------------------------------
 
@@ -215,21 +215,13 @@ class SpaceAdapter:
     def enumerate(self, index: int) -> BasisHandle:
         if index < 1:
             raise InvariantViolation(f"basis indices start at 1, got {index}")
-        cached = self._handles.get(index)
-        if cached is not None:
-            return cached
-        n = len(self._injected)
-        if index <= n:
-            handle = BasisHandle(index, self._injected[index - 1])
-        else:
-            while len(self._filtered) < index - n:
-                self._canonical_cursor += 1
-                candidate = self._canonical_value(self._canonical_cursor)
-                if candidate not in self._injected_set:
-                    self._filtered.append(candidate)
-            handle = BasisHandle(index, self._filtered[index - n - 1])
-        self._handles[index] = handle
-        return handle
+        handles = self._handles
+        while len(handles) < index:
+            self._canonical_cursor += 1
+            candidate = self._canonical_value(self._canonical_cursor)
+            if candidate not in self._injected_pos:
+                handles.append(BasisHandle(len(handles) + 1, candidate))
+        return handles[index - 1]
 
     def index_of(self, region: object) -> int:
         self._validate_basis(region)
@@ -372,6 +364,7 @@ class _LineStream:
         self._part_queue: list[LineRegion] = []
         self._b_rank = 1
         self._classes = _LineCells(adapter, {})
+        self._refined = 0  # emissions the class index holds
 
     def __len__(self) -> int:
         return len(self._emitted)
@@ -384,16 +377,13 @@ class _LineStream:
     def position(self, region: LineRegion) -> int | None:
         return self._position.get(region)
 
-    def _emit(self, region: LineRegion) -> None:
-        self._emitted.append(region)
-        self._position[region] = len(self._emitted)
-        self._classes.refine(region)
-
     def _emit_next(self) -> None:
         if (len(self._emitted) + 1) % _COMPLETENESS_STRIDE == 0:
-            self._emit(self._next_completeness())
+            region = self._next_completeness()
         else:
-            self._emit(self._next_refinement())
+            region = self._next_refinement()
+        self._emitted.append(region)
+        self._position[region] = len(self._emitted)
 
     def _next_completeness(self) -> LineRegion:
         while True:
@@ -437,6 +427,9 @@ class _LineStream:
 
     def _class_middles(self) -> list[LineRegion]:
         """Middle half of the leftmost component of every signature class."""
+        for region in self._emitted[self._refined:]:
+            self._classes.refine(region)
+        self._refined = len(self._emitted)
         out = []
         for lo, hi in self._classes.leftmost_parts():
             w = (hi - lo) / 4
@@ -467,6 +460,7 @@ class RationalLine(SpaceAdapter):
     """Bounded open rational intervals on the line."""
 
     name = "rational-line"
+    cell_index = _LineCells
 
     def __init__(self, injected: Sequence[object] = ()) -> None:
         super().__init__(injected)
@@ -545,6 +539,7 @@ class CantorSpace(SpaceAdapter):
     """Binary cylinders of the Cantor space, length-then-lexicographic."""
 
     name = "cantor"
+    cell_index = _CantorCells
 
     def _validate_basis(self, region: object) -> None:
         if not isinstance(region, CantorRegion) or len(region.prefixes) != 1:

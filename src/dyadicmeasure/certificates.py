@@ -202,20 +202,23 @@ def certify_boundary(
         j_max = built[-1]
     if stage is None:
         stage = trace.final
+    adapter = schedule.adapter
     links: list[ChainLink] = []
     probes = 0
     for j in range(1, j_max + 1):
         schedule.block(i, j)  # raises StageTooEarly when the row is short
         element = cover_union(schedule, i, j, stage)
         bound = kappa(stage, element)
-        region = schedule.adapter.union_all(
+        region = adapter.union_all(
             h.region for h in schedule.cover_handles(i, j)
         )
         probes += _probe_agreement(stage, region, element)
         trimmed: DyadicMass | None = None
         if j < j_max:
-            for h in schedule.hole_handles(i, j + 1):
-                region = schedule.adapter.meet_exterior(region, h.region)
+            holes = schedule.hole_handles(i, j + 1)
+            region = adapter.meet_exterior(
+                region, adapter.union_all(h.region for h in holes)
+            )
             trimmed = kappa(stage, decompose(region, stage))
             if trimmed != bound.halve():
                 raise ChainViolation(

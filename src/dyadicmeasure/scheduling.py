@@ -35,8 +35,7 @@ class ScheduleBlock:
 
     ``cover``, ``holes`` and ``remainder`` are original basis indices in
     ascending order; ``hole_hosts`` pairs each hole index with the id of
-    the cell it was drilled into; ``g`` is the block's range bound, and
-    ``stream_end`` the stage index reached once the block is inserted.
+    the cell it was drilled into; ``g`` is the block's range bound.
     """
 
     i: int
@@ -45,7 +44,6 @@ class ScheduleBlock:
     holes: tuple[int, ...]
     remainder: tuple[int, ...]
     g: int
-    stream_end: int
     cover_last_position: int
     hole_hosts: tuple[tuple[int, int], ...] = field(default=(), repr=False)
 
@@ -247,7 +245,6 @@ def build_schedule(
                 holes=tuple(sorted(hole_set)),
                 remainder=remainder,
                 g=g,
-                stream_end=len(stream),
                 cover_last_position=cover_last,
                 hole_hosts=hole_hosts,
             )
@@ -262,7 +259,7 @@ def build_schedule(
         blocks=tuple(blocks),
         stream=tuple(stream),
     )
-    trace = Trace(adapter, tuple(stream), tuple(builder.records), snapshots)
+    trace = Trace(adapter, schedule.stream, tuple(builder.records), snapshots)
     return schedule, trace
 
 

@@ -14,13 +14,14 @@ Mass bookkeeping follows the halving rules exactly:
 * the part of the new set outside the closures of everything inserted
   before it, when nonempty, becomes a fresh cell with mass 2**-k at stage k.
 
-The geometry of each space sits behind one cell index, ``_LineCells`` or
-``_CantorCells``.  An index owns the cell regions and ids: ``refine``
-splits the cells a new set splits and carves the set outside the closure
-of everything inserted before, ``locate_host`` finds hole hosts and
-``decompose`` writes regions as whole cells.  ``StageBuilder`` keeps the
-masses over its index; ``snapshot`` returns an immutable ``Stage``, which
-builds an index from its own cells when ``decompose`` first needs one.
+The geometry of each space sits behind the cell index its adapter class
+names as ``cell_index``: ``_LineCells`` or ``_CantorCells``.  An index owns
+the cell regions and ids: ``refine`` splits the cells a new set splits and
+carves the set outside the closure of everything inserted before,
+``locate_host`` finds hole hosts and ``decompose`` writes regions as whole
+cells.  ``StageBuilder`` keeps the masses over its index; ``snapshot``
+returns an immutable ``Stage``, which builds an index from its own cells
+when ``decompose`` first needs one.
 """
 
 from __future__ import annotations
@@ -92,9 +93,9 @@ class Stage:
         "index",
         "inserted",
         "cells",
-        "boundary_points",
         "total_mass",
         "adapter",
+        "_boundary_points",
         "_sig_cache",
         "_sig_map",
         "_index",
@@ -105,16 +106,15 @@ class Stage:
         index: int,
         inserted: tuple[BasisHandle, ...],
         cells: dict[int, Cell],
-        boundary_points: frozenset,
         total_mass: DyadicMass,
         adapter: SpaceAdapter,
     ) -> None:
         self.index = index
         self.inserted = inserted
         self.cells = cells
-        self.boundary_points = boundary_points
         self.total_mass = total_mass
         self.adapter = adapter
+        self._boundary_points: frozenset | None = None
         self._sig_cache: dict[int, Signature] = {}
         self._sig_map: dict[Signature, int] | None = None
         self._index = None
@@ -124,6 +124,15 @@ class Stage:
             f"Stage(k={self.index}, cells={len(self.cells)}, "
             f"total={self.total_mass})"
         )
+
+    @property
+    def boundary_points(self) -> frozenset:
+        """Boundary points of the ``inserted`` sets, gathered on first read."""
+        if self._boundary_points is None:
+            self._boundary_points = frozenset(
+                p for h in self.inserted for p in self.adapter.boundary(h)
+            )
+        return self._boundary_points
 
     def signature_of(self, cell_id: int) -> Signature:
         """IN/EXT flags of a cell against W_1..W_k.
@@ -678,13 +687,9 @@ class _CantorCells(_CellIndex):
         return RingElement(stage.index, frozenset(cells_in), frozenset())
 
 
-# adapter name -> cell index class
-_CELL_INDEXES = {"rational-line": _LineCells, "cantor": _CantorCells}
-
-
 def _cell_index(adapter: SpaceAdapter, cells: dict[int, Cell]) -> _CellIndex:
-    """A fresh index of the space of adapter, holding the regions of cells."""
-    return _CELL_INDEXES[adapter.name](
+    """A fresh index of the class adapter names, holding the regions of cells."""
+    return adapter.cell_index(
         adapter, {cid: cell.region for cid, cell in cells.items()}
     )
 
@@ -698,7 +703,6 @@ class StageBuilder:
         self._inserted_regions: set = set()
         self.cells: dict[int, Cell] = {}
         self.total = ZERO
-        self.boundary_points: set = set()
         self.records: list[StepRecord] = []
         self._index = _cell_index(adapter, self.cells)
 
@@ -709,7 +713,6 @@ class StageBuilder:
         b._inserted_regions = {h.region for h in stage.inserted}
         b.cells = dict(stage.cells)
         b.total = stage.total_mass
-        b.boundary_points = set(stage.boundary_points)
         b._index = _cell_index(b.adapter, b.cells)
         for h in stage.inserted:
             b._index.absorb(h.region)
@@ -741,7 +744,6 @@ class StageBuilder:
             kind = "root" if k == 1 else "new_region"
             self.cells[fresh] = Cell(fresh, regions[fresh], grant, kind, None, k)
             self.total = self.total + grant
-        self.boundary_points.update(self.adapter.boundary(handle))
         self.inserted.append(handle)
         self._inserted_regions.add(handle.region)
         self.records.append(
@@ -759,7 +761,6 @@ class StageBuilder:
             index=len(self.inserted),
             inserted=tuple(self.inserted),
             cells=dict(self.cells),
-            boundary_points=frozenset(self.boundary_points),
             total_mass=self.total,
             adapter=self.adapter,
         )

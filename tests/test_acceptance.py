@@ -282,13 +282,18 @@ def test_line_depth5_outputs_pinned(line_d5, monkeypatch, tmp_path):
 
 
 def test_line_stream_classes_are_stage_cells():
-    """The enumeration's massless classes are the cells of an insertion."""
+    """The enumeration's massless classes are the cells of an insertion.
+
+    Emitting slot 1,529 opens the (4,2) pack, which reads the classes of
+    the first 1,528 emissions.
+    """
     adapter = make_adapter("rational-line")
     stream = adapter._stream
+    stream.value(1529)
     builder = StageBuilder(adapter)
-    for k in range(1, 1527):
+    for k in range(1, 1529):
         builder.insert(BasisHandle(k, stream.value(k)))
-    assert len(stream) == 1526
+    assert stream._refined == 1528
     assert stream._classes.regions == {
         cid: cell.region for cid, cell in builder.cells.items()
     }

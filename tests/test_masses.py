@@ -89,7 +89,6 @@ def test_max_cell_mass_empty_stage(t1):
         index=0,
         inserted=(),
         cells={},
-        boundary_points=frozenset(),
         total_mass=DyadicMass.zero(),
         adapter=adapter,
     )

@@ -2,7 +2,7 @@
 
 import pytest
 
-from dyadicmeasure.adapters import make_adapter
+from dyadicmeasure.adapters import RationalLine, make_adapter
 from dyadicmeasure.dyadic import DyadicMass
 from dyadicmeasure.errors import StageTooEarly
 from dyadicmeasure.masses import kappa
@@ -44,6 +44,18 @@ def test_line_depth2_blocks(line_d2):
     assert b12.remainder == (16,)
     assert b12.g == 26
     assert b12.cover_last_position == 26
+
+
+def test_renamed_adapter_subclass_builds_the_same_blocks(line_d2):
+    """The stage engine takes its cell index from the adapter class, so a
+    subclass under another name needs no registration."""
+
+    class MyLine(RationalLine):
+        name = "my-line"
+
+    schedule, trace = build_schedule(MyLine(), 2)
+    assert schedule.blocks == line_d2[1].blocks
+    assert len(trace) == len(line_d2[2])
 
 
 def test_line_depth2_permutation(line_d2):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dyadicmeasure.adapters import make_adapter
+from dyadicmeasure.adapters import BasisHandle, make_adapter
 from dyadicmeasure.dyadic import DyadicMass
 from dyadicmeasure.errors import (
     DuplicateInsertion,
@@ -20,6 +20,7 @@ from dyadicmeasure.scheduling import build_schedule
 from dyadicmeasure.stages import (
     RingElement,
     StageBuilder,
+    _CellIndex,
     decompose,
     line_key,
     ring_difference,
@@ -428,3 +429,46 @@ def test_line_depth4_build_comparison_budget(monkeypatch):
     monkeypatch.setattr(F, "_richcmp", counting)
     build_schedule(make_adapter("rational-line"), 4)
     assert calls <= 21_949
+
+
+def test_line_depth4_build_refines_what_it_reads(monkeypatch):
+    """The line stream refines its classes only up to the last pack read.
+
+    The schedule's own index refines its 1,526 insertions; the stream's
+    index refines the 730 emissions the (4,1)...(1,4) packs read, not all
+    1,526 it emitted.
+    """
+    calls = 0
+    original = _CellIndex.refine
+
+    def counting(self, region):
+        nonlocal calls
+        calls += 1
+        return original(self, region)
+
+    monkeypatch.setattr(_CellIndex, "refine", counting)
+    adapter = make_adapter("rational-line")
+    _, trace = build_schedule(adapter, 4)
+    assert len(trace) == 1526
+    assert adapter._stream._refined == 730
+    assert calls == 2256
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_line_locate_host_decides_float_ties_exactly(sign):
+    """x and y share both floats of their keys, so only the exact term of
+    the key tells whether a hole ending at x or y fits inside the cell."""
+    x = 1 + F(1, 2**600)
+    y = x + F(1, 2**700)
+    assert line_key(x)[:2] == line_key(y)[:2]
+    builder = StageBuilder(make_adapter("rational-line"))
+    if sign > 0:
+        builder.insert(BasisHandle(1, interval(0, y)))
+        fits, touches = interval(F(1, 2), x), interval(F(1, 2), y)
+    else:
+        # the mirror image: the tie sits at the left end of the cell
+        builder.insert(BasisHandle(1, interval(-y, 0)))
+        fits, touches = interval(-x, F(-1, 2)), interval(-y, F(-1, 2))
+    (cell,) = builder.cells
+    assert builder.locate_host(fits) == cell
+    assert builder.locate_host(touches) is None
