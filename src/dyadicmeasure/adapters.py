@@ -19,10 +19,15 @@ order interleaves two deterministic streams:
   fit inside any residual gap left around those endpoints by the earlier
   middles.
 
-The signature classes are kept by a massless line cell index, refined by
-the emissions made so far when a pack reads it.  They depend only on the
-set of emissions, not on any insertion order, so they agree with the cells
-of any schedule built over this basis on a whole initial segment.
+The signature classes depend only on the set of emissions, not on any
+insertion order, so they are the cells of any stage that inserted exactly
+the emissions made so far.  ``build_schedule`` hands each block-boundary
+stage to its adapter (``note_stage``), and the packs of a schedule over
+this basis read their classes just after such a stage, so the stream
+takes the leftmost parts of its cells.  Without such a stage (a bare
+enumeration, an injected prefix, the ``build`` command) the stream keeps
+a massless line cell index of its own and refines it by the emissions
+made so far when a pack reads it.
 Emitting one interior interval per class instead of one per arrangement
 gap, in the rhythm the diagonal walk consumes them, keeps the basis
 growth linear in the number of cells a schedule has to drill, which is
@@ -76,11 +81,10 @@ from .regions import (
     line_contains_point,
     line_meet,
     line_meet_exterior,
-    line_region,
     line_subset,
     line_union,
 )
-from .stages import _CantorCells, _CellIndex, _LineCells
+from .stages import Stage, _CantorCells, _CellIndex, _LineCells, line_key
 
 DEFAULT_SCAN_CAP = 10**6
 
@@ -223,6 +227,13 @@ class SpaceAdapter:
                 handles.append(BasisHandle(len(handles) + 1, candidate))
         return handles[index - 1]
 
+    def note_stage(self, stage: Stage) -> None:
+        """Hear of a stage a schedule snapshotted at a block boundary.
+
+        The default ignores it; an enumeration that reads the cells of its
+        own earlier elements may take them from the stage instead.
+        """
+
     def index_of(self, region: object) -> int:
         self._validate_basis(region)
         pos = self._injected_pos.get(region)
@@ -342,6 +353,23 @@ def _straddle_width(position: int) -> Fraction:
     return Fraction(1, 4 ** (position * position))
 
 
+def _middle_half(lo: Fraction, hi: Fraction) -> LineRegion:
+    """The interval (lo + w, hi - w) for w = (hi - lo) / 4.
+
+    With lo = p/q and hi = r/s both ends share the denominator 4qs:
+    (3ps + rq) / 4qs and (ps + 3rq) / 4qs.  They are ordered as lo and hi
+    are, which is the check ``interval`` makes, in integers: ps < rq.
+    """
+    p, q = lo.numerator, lo.denominator
+    r, s = hi.numerator, hi.denominator
+    ps, rq = p * s, r * q
+    if not ps < rq:
+        raise InvariantViolation(f"interval needs a < b, got ({lo}, {hi})")
+    den = 4 * q * s
+    a, b = Fraction(3 * ps + rq, den), Fraction(ps + 3 * rq, den)
+    return LineRegion(((a, b),))
+
+
 _COMPLETENESS_STRIDE = 16
 
 
@@ -355,6 +383,7 @@ class _LineStream:
     """
 
     def __init__(self, adapter: "RationalLine") -> None:
+        self._adapter = adapter
         self._emitted: list[LineRegion] = []
         self._position: dict[LineRegion, int] = {}
         self._seed_queue = [interval(a, b) for a, b in _SEEDS]
@@ -365,6 +394,7 @@ class _LineStream:
         self._b_rank = 1
         self._classes = _LineCells(adapter, {})
         self._refined = 0  # emissions the class index holds
+        self._noted: Stage | None = None  # a schedule's last block stage
 
     def __len__(self) -> int:
         return len(self._emitted)
@@ -425,16 +455,49 @@ class _LineStream:
                 pack.append(interval(t - d, t + d))
         self._part_queue = pack
 
+    def note_stage(self, stage: Stage) -> None:
+        self._noted = stage
+
+    def _holds_emissions(self, stage: Stage, n: int) -> bool:
+        """Whether stage inserted exactly the first n emissions.
+
+        A stage holds one distinct region per position, so n of them that
+        each sit at their own index among the first n emissions are those
+        n emissions.
+        """
+        emitted = self._emitted
+        return (
+            stage.adapter is self._adapter
+            and not self._adapter.injected
+            and stage.index == n
+            and all(
+                0 < h.index <= n and h.region == emitted[h.index - 1]
+                for h in stage.inserted
+            )
+        )
+
     def _class_middles(self) -> list[LineRegion]:
-        """Middle half of the leftmost component of every signature class."""
-        for region in self._emitted[self._refined:]:
-            self._classes.refine(region)
-        self._refined = len(self._emitted)
-        out = []
-        for lo, hi in self._classes.leftmost_parts():
-            w = (hi - lo) / 4
-            out.append(interval(lo + w, hi - w))
-        return out
+        """Middle half of the leftmost component of every signature class.
+
+        The classes depend only on the set of emissions, so a noted stage
+        that inserted exactly the emissions made so far has them as its
+        cells, and its cells' leftmost parts sorted by key are the ones the
+        class index would yield.  Any other stage is ignored, and the class
+        index refines the emissions it does not hold yet, in order.
+        """
+        stage, self._noted = self._noted, None
+        n = len(self._emitted)
+        if stage is not None and self._holds_emissions(stage, n):
+            lefts = sorted(
+                (cell.region.parts[0] for cell in stage.cells.values()),
+                key=lambda part: line_key(part[0]),
+            )
+        else:
+            for region in self._emitted[self._refined:]:
+                self._classes.refine(region)
+            self._refined = n
+            lefts = self._classes.leftmost_parts()
+        return [_middle_half(lo, hi) for lo, hi in lefts]
 
     def rank_bound(self, region: LineRegion) -> int:
         """Completeness rank of region; its slot is at most 16 times this."""
@@ -485,6 +548,9 @@ class RationalLine(SpaceAdapter):
         pos = self._stream.position(region)
         return pos is not None and pos <= p
 
+    def note_stage(self, stage: Stage) -> None:
+        self._stream.note_stage(stage)
+
     def meet(self, a: object, b: object) -> object:
         return line_meet(a, b)
 
@@ -501,7 +567,18 @@ class RationalLine(SpaceAdapter):
         return line_union(a, b)
 
     def union_all(self, regions: Iterable[object]) -> object:
-        return line_region(p for r in regions for p in r.parts)
+        # the parts are canonical already: sort them by key, merge those
+        # that overlap and keep touching ones apart, as line_region does
+        merged: list[list[tuple]] = []
+        for k_lo, k_hi in sorted(
+            (line_key(lo), line_key(hi)) for r in regions for lo, hi in r.parts
+        ):
+            if merged and k_lo < merged[-1][1]:
+                if k_hi > merged[-1][1]:
+                    merged[-1][1] = k_hi
+            else:
+                merged.append([k_lo, k_hi])
+        return LineRegion(tuple((k_lo[2], k_hi[2]) for k_lo, k_hi in merged))
 
     def subset(self, a: object, b: object) -> bool:
         return line_subset(a, b)

@@ -138,8 +138,11 @@ ONE = DyadicMass.one()
 
 
 def dyadic_sum(masses) -> DyadicMass:
-    """Exact sum of an iterable of masses; total must stay within [0, 1]."""
-    total = ZERO
-    for m in masses:
-        total = total + m
-    return total
+    """Exact sum of an iterable of masses; total must stay within [0, 1].
+
+    Every mantissa is shifted to the largest scale and summed as one plain
+    integer, so only the total is normalised and checked.
+    """
+    masses = list(masses)
+    scale = max((m.scale for m in masses), default=0)
+    return DyadicMass(sum(m.mantissa << (scale - m.scale) for m in masses), scale)

@@ -33,9 +33,14 @@ Interval = tuple[Fraction, Fraction]
 
 
 class LineRegion:
-    """Finite union of disjoint open rational intervals, sorted ascending."""
+    """Finite union of disjoint open rational intervals, sorted ascending.
 
-    __slots__ = ("parts",)
+    The hash is computed on first use and kept, since hashing a ``Fraction``
+    computes a modular inverse and regions are looked up in dicts and sets
+    many times over.
+    """
+
+    __slots__ = ("parts", "_hash")
 
     def __init__(self, parts: tuple[Interval, ...]) -> None:
         object.__setattr__(self, "parts", parts)
@@ -53,7 +58,12 @@ class LineRegion:
         return self.parts == other.parts
 
     def __hash__(self) -> int:
-        return hash(self.parts)
+        try:
+            return self._hash
+        except AttributeError:  # the slot stays unset until the first hash
+            h = hash(self.parts)
+            object.__setattr__(self, "_hash", h)
+            return h
 
     def __repr__(self) -> str:
         if not self.parts:

@@ -182,7 +182,11 @@ def build_schedule(
     depth: int,
     scan_cap: int = DEFAULT_SCAN_CAP,
 ) -> tuple[Schedule, Trace]:
-    """Run the diagonal block construction to the given depth."""
+    """Run the diagonal block construction to the given depth.
+
+    Each block ends in a snapshot, which the adapter hears of through
+    ``note_stage``.
+    """
     builder = StageBuilder(adapter)
     blocks: list[ScheduleBlock] = []
     stream: list[BasisHandle] = []
@@ -250,7 +254,8 @@ def build_schedule(
             )
         )
         prev_cover_region[i] = adapter.union_all(h.region for h in cover)
-        snapshots[len(stream)] = builder.snapshot()
+        stage = snapshots[len(stream)] = builder.snapshot()
+        adapter.note_stage(stage)
         frontier = g
     schedule = Schedule(
         adapter=adapter,

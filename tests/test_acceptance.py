@@ -3,8 +3,9 @@
 Each test prints one pass line on success; a failed assertion keeps the
 line from printing, so the printed list is the scoreboard.  Everything is
 checked at tolerance zero: dyadic equality or exact Fraction comparison.
-The last two tests pin the depth-5 line schedule and basis by digest, and
-check the enumeration's signature classes against an insertion run.
+The last three tests pin the depth-5 line schedule and basis by digest,
+the basis both as a schedule reads it and as a bare enumeration makes it,
+and check the enumeration's signature classes against an insertion run.
 """
 
 import hashlib
@@ -279,6 +280,21 @@ def test_line_depth5_outputs_pinned(line_d5, monkeypatch, tmp_path):
     )
     digest = hashlib.sha256(regions.encode("utf-8")).hexdigest()
     assert digest == LINE_REGIONS_27436
+    # every pack read its classes from a stage the schedule noted
+    assert adapter._stream._refined == 0
+
+
+def test_line_depth5_regions_pinned_without_a_schedule():
+    """A bare enumeration has no schedule stages to read its classes from,
+    so its stream refines its own class index: the same 27,436 regions."""
+    adapter = make_adapter("rational-line")
+    regions = "".join(
+        adapter.format_region(adapter.enumerate(k).region) + "\n"
+        for k in range(1, 27437)
+    )
+    digest = hashlib.sha256(regions.encode("utf-8")).hexdigest()
+    assert digest == LINE_REGIONS_27436
+    assert adapter._stream._refined == 13370
 
 
 def test_line_stream_classes_are_stage_cells():

@@ -3,10 +3,11 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dyadicmeasure.adapters import (
+    BasisHandle,
     cantor_pair,
     cantor_unpair,
     cw_rank,
@@ -23,6 +24,7 @@ from dyadicmeasure.errors import (
     ScanExhausted,
 )
 from dyadicmeasure.regions import cantor_region, interval, line_region
+from dyadicmeasure.stages import StageBuilder
 
 
 @pytest.fixture
@@ -122,6 +124,64 @@ def test_rank_bound_caps_first_appearance(line):
     assert line._stream.rank_bound(interval(0, 2)) == 6
 
 
+# -- classes from a noted stage ----------------------------------------------
+
+# emitting slot 29 opens a pack that reads the classes of the first 28
+# emissions; the pack before it read them at 10
+READ_AT = 28
+
+
+def _stage_over(adapter, handles):
+    builder = StageBuilder(adapter)
+    for h in handles:
+        builder.insert(h)
+    return builder.snapshot()
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["doctored region", "wrong index", "short stage", "injected", "other adapter"],
+)
+def test_line_stream_ignores_a_stage_of_other_emissions(case):
+    """A noted stage is read only if it inserted exactly the emissions made
+    so far; otherwise the stream refines its own classes, and emits what a
+    bare adapter emits."""
+    bare = make_adapter("rational-line")
+    expected = [bare.enumerate(k).region for k in range(1, 201)]
+    injected = (interval(0, 1),) if case == "injected" else ()
+    line = make_adapter("rational-line", injected=injected)
+    handles = [line.enumerate(k) for k in range(1, READ_AT + 1)]
+    assert len(line._stream) == READ_AT
+    if case == "doctored region":
+        handles[-1] = BasisHandle(READ_AT, expected[READ_AT])
+    elif case == "wrong index":
+        handles[-1] = BasisHandle(READ_AT + 1, expected[READ_AT])
+    elif case == "short stage":
+        handles.pop()
+    else:
+        # the right regions at the right indices: interval(0, 1) is also
+        # the first canonical emission, but an injected index need not be
+        # a stream slot, and another adapter's handles index its own stream
+        assert [h.region for h in handles] == expected[:READ_AT]
+    owner = bare if case == "other adapter" else line
+    line.note_stage(_stage_over(owner, handles))
+    assert line.enumerate(READ_AT + 1).region == expected[READ_AT]
+    assert line._stream._refined == READ_AT
+    assert [line.enumerate(k).region for k in range(1, 201)] == expected
+
+
+def test_line_stream_reads_a_stage_of_its_emissions():
+    line = make_adapter("rational-line")
+    handles = [line.enumerate(k) for k in reversed(range(1, READ_AT + 1))]
+    line.note_stage(_stage_over(line, handles))
+    line.enumerate(READ_AT + 1)
+    assert line._stream._refined == 10
+    bare = make_adapter("rational-line")
+    assert [line.enumerate(k).region for k in range(1, 201)] == [
+        bare.enumerate(k).region for k in range(1, 201)
+    ]
+
+
 # -- injected prefixes --------------------------------------------------------
 
 
@@ -199,6 +259,48 @@ def test_finite_subcover_infeasible(line):
 def test_finite_subcover_scan_cap(line):
     with pytest.raises(ScanExhausted):
         line.finite_subcover((F(1, 2),), interval(F(2, 5), F(3, 5)), scan_cap=3)
+
+
+# -- union_all ------------------------------------------------------------------
+
+# t +- (1 + nudge) * 2**-k: next to 1 these tie in float with 1 and with
+# each other past k = 53, and a nudge 54 or more bits further down ties the
+# error term of the key too, so only the exact term decides
+NEAR_TIES = tuple(
+    t + s * (1 + nudge) * F(1, 2**k)
+    for k in (1, 53, 54, 107, 600)
+    for t in (0, 1)
+    for s in (-1, 1)
+    for nudge in (0, F(1, 2**54), F(1, 2**120))
+)
+
+
+ENDPOINTS = NEAR_TIES + (F(-1), F(-1, 2), F(1, 2), F(3, 2), F(2))
+
+
+@st.composite
+def line_region_lists(draw):
+    """Up to six regions whose endpoints come from one small pool, so parts
+    share, touch and overlap endpoints, most of them float ties."""
+    pool = draw(
+        st.lists(st.sampled_from(ENDPOINTS), min_size=2, max_size=8, unique=True)
+    )
+    out = []
+    for _ in range(draw(st.integers(0, 6))):
+        parts = []
+        for _ in range(draw(st.integers(0, 3))):
+            a, b = draw(st.sampled_from(pool)), draw(st.sampled_from(pool))
+            if a != b:
+                parts.append((min(a, b), max(a, b)))
+        out.append(line_region(parts))
+    return out
+
+
+@settings(derandomize=True, max_examples=300)
+@given(line_region_lists())
+def test_line_union_all_matches_line_region(regions):
+    out = make_adapter("rational-line").union_all(regions)
+    assert out.parts == line_region(p for r in regions for p in r.parts).parts
 
 
 # -- parsing and formatting ---------------------------------------------------

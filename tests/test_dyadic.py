@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
+from operator import add
 
 import pytest
 from hypothesis import given
@@ -124,3 +126,15 @@ def test_order_matches_fractions(a, b):
 def test_halve_is_exact_division(m):
     assert m.halve().as_fraction() == m.as_fraction() / 2
     assert m.halve() + m.halve() == m
+
+
+@given(st.lists(st.tuples(masses, st.integers(0, 4)), max_size=12))
+def test_dyadic_sum_matches_left_fold(pairs):
+    parts = [m.scaled_down(k) for m, k in pairs]
+    try:
+        folded = reduce(add, parts, ZERO)
+    except InvariantViolation:
+        with pytest.raises(InvariantViolation):
+            dyadic_sum(parts)
+    else:
+        assert dyadic_sum(iter(parts)) == folded

@@ -134,6 +134,15 @@ def in_closure(r, p):
     return any(lo <= p <= hi for lo, hi in r.parts)
 
 
+@given(regions())
+def test_kept_hash_agrees_with_equality(x):
+    twin = line_region(x.parts)
+    assert twin == x and twin is not x
+    assert hash(x) == hash(x.parts)
+    assert hash(x) == hash(twin) == hash(x)
+    assert {x, twin} == {x}
+
+
 @given(regions(), regions())
 def test_meet_is_pointwise_and(x, y):
     out = line_meet(x, y)

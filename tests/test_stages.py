@@ -432,11 +432,11 @@ def test_line_depth4_build_comparison_budget(monkeypatch):
 
 
 def test_line_depth4_build_refines_what_it_reads(monkeypatch):
-    """The line stream refines its classes only up to the last pack read.
+    """A line build refines each insertion once.
 
-    The schedule's own index refines its 1,526 insertions; the stream's
-    index refines the 730 emissions the (4,1)...(1,4) packs read, not all
-    1,526 it emitted.
+    The schedule's own index refines its 1,526 insertions.  Every pack of
+    the (4,1)...(1,4) walk reads its classes from the block-boundary stage
+    the schedule has just noted, so the stream's index refines nothing.
     """
     calls = 0
     original = _CellIndex.refine
@@ -450,8 +450,8 @@ def test_line_depth4_build_refines_what_it_reads(monkeypatch):
     adapter = make_adapter("rational-line")
     _, trace = build_schedule(adapter, 4)
     assert len(trace) == 1526
-    assert adapter._stream._refined == 730
-    assert calls == 2256
+    assert adapter._stream._refined == 0
+    assert calls == 1526
 
 
 @pytest.mark.parametrize("sign", [1, -1])
