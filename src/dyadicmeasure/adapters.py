@@ -24,10 +24,14 @@ insertion order, so they are the cells of any stage that inserted exactly
 the emissions made so far.  ``build_schedule`` hands each block-boundary
 stage to its adapter (``note_stage``), and the packs of a schedule over
 this basis read their classes just after such a stage, so the stream
-takes the leftmost parts of its cells.  Without such a stage (a bare
-enumeration, an injected prefix, the ``build`` command) the stream keeps
-a massless line cell index of its own and refines it by the emissions
-made so far when a pack reads it.
+takes the leftmost parts of its cells.  The adapter checks that the stage
+is its own and that it has no injected prefix, then hands the stream only
+the stage's index, inserted handles and cells: neither the stream nor its
+cell index refers back to the adapter or to a stage, so a build's state
+holds no reference cycle and is freed as soon as it is dropped.  Without
+such a stage (a bare enumeration, an injected prefix, the ``build``
+command) the stream keeps a massless line cell index of its own and
+refines it by the emissions made so far when a pack reads it.
 Emitting one interior interval per class instead of one per arrangement
 gap, in the rhythm the diagonal walk consumes them, keeps the basis
 growth linear in the number of cells a schedule has to drill, which is
@@ -231,7 +235,10 @@ class SpaceAdapter:
         """Hear of a stage a schedule snapshotted at a block boundary.
 
         The default ignores it; an enumeration that reads the cells of its
-        own earlier elements may take them from the stage instead.
+        own earlier elements may take them from the stage instead.  It
+        should keep only what it reads, not the stage: a stage refers to
+        its adapter, so keeping one makes a reference cycle that only the
+        cyclic collector can free.
         """
 
     def index_of(self, region: object) -> int:
@@ -382,8 +389,7 @@ class _LineStream:
     far, so the order is deterministic.
     """
 
-    def __init__(self, adapter: "RationalLine") -> None:
-        self._adapter = adapter
+    def __init__(self) -> None:
         self._emitted: list[LineRegion] = []
         self._position: dict[LineRegion, int] = {}
         self._seed_queue = [interval(a, b) for a, b in _SEEDS]
@@ -392,9 +398,10 @@ class _LineStream:
         self._pack_no = 0
         self._part_queue: list[LineRegion] = []
         self._b_rank = 1
-        self._classes = _LineCells(adapter, {})
+        self._classes = _LineCells({})
         self._refined = 0  # emissions the class index holds
-        self._noted: Stage | None = None  # a schedule's last block stage
+        # (index, inserted, cells) of a schedule's last block stage
+        self._noted: tuple | None = None
 
     def __len__(self) -> int:
         return len(self._emitted)
@@ -455,25 +462,26 @@ class _LineStream:
                 pack.append(interval(t - d, t + d))
         self._part_queue = pack
 
-    def note_stage(self, stage: Stage) -> None:
-        self._noted = stage
+    def note_stage(
+        self, index: int, inserted: tuple[BasisHandle, ...], cells: dict
+    ) -> None:
+        """Keep what a stage of this stream's adapter holds, for the next
+        pack read: its index, its inserted handles and its cells."""
+        self._noted = (index, inserted, cells)
 
-    def _holds_emissions(self, stage: Stage, n: int) -> bool:
-        """Whether stage inserted exactly the first n emissions.
+    def _holds_emissions(
+        self, index: int, inserted: tuple[BasisHandle, ...], n: int
+    ) -> bool:
+        """Whether a stage inserted exactly the first n emissions.
 
         A stage holds one distinct region per position, so n of them that
         each sit at their own index among the first n emissions are those
         n emissions.
         """
         emitted = self._emitted
-        return (
-            stage.adapter is self._adapter
-            and not self._adapter.injected
-            and stage.index == n
-            and all(
-                0 < h.index <= n and h.region == emitted[h.index - 1]
-                for h in stage.inserted
-            )
+        return index == n and all(
+            0 < h.index <= n and h.region == emitted[h.index - 1]
+            for h in inserted
         )
 
     def _class_middles(self) -> list[LineRegion]:
@@ -485,11 +493,11 @@ class _LineStream:
         class index would yield.  Any other stage is ignored, and the class
         index refines the emissions it does not hold yet, in order.
         """
-        stage, self._noted = self._noted, None
+        noted, self._noted = self._noted, None
         n = len(self._emitted)
-        if stage is not None and self._holds_emissions(stage, n):
+        if noted is not None and self._holds_emissions(noted[0], noted[1], n):
             lefts = sorted(
-                (cell.region.parts[0] for cell in stage.cells.values()),
+                (cell.region.parts[0] for cell in noted[2].values()),
                 key=lambda part: line_key(part[0]),
             )
         else:
@@ -527,7 +535,7 @@ class RationalLine(SpaceAdapter):
 
     def __init__(self, injected: Sequence[object] = ()) -> None:
         super().__init__(injected)
-        self._stream = _LineStream(self)
+        self._stream = _LineStream()
 
     def _validate_basis(self, region: object) -> None:
         if not isinstance(region, LineRegion) or len(region.parts) != 1:
@@ -549,7 +557,10 @@ class RationalLine(SpaceAdapter):
         return pos is not None and pos <= p
 
     def note_stage(self, stage: Stage) -> None:
-        self._stream.note_stage(stage)
+        # the stream's slots are this adapter's indices only without an
+        # injected prefix
+        if stage.adapter is self and not self.injected:
+            self._stream.note_stage(stage.index, stage.inserted, stage.cells)
 
     def meet(self, a: object, b: object) -> object:
         return line_meet(a, b)

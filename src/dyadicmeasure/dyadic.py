@@ -124,13 +124,23 @@ class DyadicMass:
             return "0"
         if self.scale == 0:
             return str(self.mantissa)
-        return f"{self.mantissa}/2^{self.scale}"
+        return f"{_digits(self.mantissa)}/2^{self.scale}"
 
     def __repr__(self) -> str:
-        return f"DyadicMass({self.mantissa}, {self.scale})"
+        return f"DyadicMass({_digits(self.mantissa)}, {self.scale})"
 
     def to_json(self) -> dict[str, int]:
         return {"mantissa": self.mantissa, "scale": self.scale}
+
+
+def _digits(n: int) -> str:
+    """n in decimal, or in hex when decimal would pass the interpreter's
+    limit on int-to-str digits (``sys.set_int_max_str_digits``), which
+    hex conversion is exempt from; deep stages have such mantissas."""
+    try:
+        return str(n)
+    except ValueError:
+        return hex(n)
 
 
 ZERO = DyadicMass.zero()

@@ -45,10 +45,11 @@ from .errors import (
 from .regions import (
     CantorRegion,
     LineRegion,
+    cantor_meet,
     cantor_minus,
     cantor_region,
+    cantor_union,
     line_minus_closure,  # unused here: the benchmark tracer patches this name
-    line_subset,
 )
 
 if TYPE_CHECKING:
@@ -321,11 +322,13 @@ class _CellIndex:
 
     Subclasses file regions (``add``), find the cells a new set splits,
     refile each as its pieces inside and outside the set (``_split``), carve
-    the set (``new_region``) and absorb its closure.
+    the set (``new_region``) and absorb its closure.  An index holds regions
+    and ids only, never an adapter, so a stage, a builder or a line stream
+    that keeps one forms no reference cycle with its adapter and is freed
+    by reference counting once dropped.
     """
 
-    def __init__(self, adapter: SpaceAdapter, regions: dict[int, object]):
-        self.adapter = adapter
+    def __init__(self, regions: dict[int, object]):
         self.regions = regions
         self.next_id = max(regions, default=0) + 1
 
@@ -371,8 +374,8 @@ class _LineCells(_CellIndex):
     values that agree to about 106 bits pay for a ``Fraction`` comparison.
     """
 
-    def __init__(self, adapter: SpaceAdapter, regions: dict[int, LineRegion]):
-        super().__init__(adapter, regions)
+    def __init__(self, regions: dict[int, LineRegion]):
+        super().__init__(regions)
         self._parts = SortedList(
             _line_entry(lo, hi, cid)
             for cid, region in regions.items()
@@ -544,8 +547,15 @@ class _LineCells(_CellIndex):
         return idx
 
     def decompose(self, region: LineRegion, stage: Stage) -> RingElement:
+        """Whole cells and boundary points making up region, by one keyed
+        walk per part of region.
+
+        The walk visits every cell part that starts inside a part of
+        region, and rejects a part that ends past it, so a cell lies inside
+        region exactly when the walk visits all its parts; it counts them.
+        """
         parts = self._parts
-        cells_in: set[int] = set()
+        visits: dict[int, int] = {}
         residue: set[Fraction] = set()
         for p, q in region.parts:
             kp, kq = line_key(p), line_key(q)
@@ -569,7 +579,7 @@ class _LineCells(_CellIndex):
                     raise NotRepresentable(
                         f"a cell straddles the right endpoint {q} of {region!r}"
                     )
-                cells_in.add(entry[6])
+                visits[entry[6]] = visits.get(entry[6], 0) + 1
                 cursor = entry[3:6]
                 idx += 1
             if cursor != kq:
@@ -577,8 +587,8 @@ class _LineCells(_CellIndex):
                     f"the open gap ({cursor[2]},{q}) of {region!r} is covered "
                     f"by no cell at stage {stage.index}"
                 )
-        for cid in cells_in:
-            if not line_subset(self.regions[cid], region):
+        for cid, count in visits.items():
+            if count < len(self.regions[cid].parts):
                 raise NotRepresentable(
                     f"cell {cid} pokes outside {region!r} at stage {stage.index}"
                 )
@@ -587,7 +597,7 @@ class _LineCells(_CellIndex):
                 raise NotRepresentable(
                     f"residue point {point} is not an inserted boundary point"
                 )
-        return RingElement(stage.index, frozenset(cells_in), frozenset(residue))
+        return RingElement(stage.index, frozenset(visits), frozenset(residue))
 
 
 class _CantorCells(_CellIndex):
@@ -600,8 +610,8 @@ class _CantorCells(_CellIndex):
     as one region; an index built from a stage's cells has it empty.
     """
 
-    def __init__(self, adapter: SpaceAdapter, regions: dict[int, CantorRegion]):
-        super().__init__(adapter, regions)
+    def __init__(self, regions: dict[int, CantorRegion]):
+        super().__init__(regions)
         self._members = SortedDict(
             (p, cid) for cid, region in regions.items() for p in region.prefixes
         )
@@ -662,15 +672,15 @@ class _CantorCells(_CellIndex):
         cell = self.regions.pop(old)
         self.remove(old, cell)
         return (
-            self._spawn(self.adapter.meet(cell, region)),
-            self._spawn(self.adapter.meet_exterior(cell, region)),
+            self._spawn(cantor_meet(cell, region)),
+            self._spawn(cantor_minus(cell, region)),
         )
 
     def new_region(self, region: CantorRegion) -> CantorRegion:
         return cantor_minus(region, self._covered)
 
     def absorb(self, region: CantorRegion) -> None:
-        self._covered = self.adapter.union(self._covered, region)
+        self._covered = cantor_union(self._covered, region)
 
     def decompose(self, region: CantorRegion, stage: Stage) -> RingElement:
         cells_in = {
@@ -689,9 +699,7 @@ class _CantorCells(_CellIndex):
 
 def _cell_index(adapter: SpaceAdapter, cells: dict[int, Cell]) -> _CellIndex:
     """A fresh index of the class adapter names, holding the regions of cells."""
-    return adapter.cell_index(
-        adapter, {cid: cell.region for cid, cell in cells.items()}
-    )
+    return adapter.cell_index({cid: cell.region for cid, cell in cells.items()})
 
 
 class StageBuilder:

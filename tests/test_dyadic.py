@@ -82,6 +82,17 @@ def test_str_and_json():
     assert DyadicMass(3, 3).to_json() == {"mantissa": 3, "scale": 3}
 
 
+def test_text_of_a_deep_mass_is_exact(default_str_digit_limit):
+    """A mantissa past the int-to-str digit limit prints in hex, exactly."""
+    deep = DyadicMass((1 << 20000) - 1, 20000)
+    mantissa, scale = str(deep).split("/2^")
+    if default_str_digit_limit:
+        assert mantissa.startswith("0x")
+    assert (int(mantissa, 0), int(scale)) == (deep.mantissa, deep.scale)
+    assert eval(repr(deep), {"DyadicMass": DyadicMass}) == deep
+    assert repr(DyadicMass(3, 3)) == "DyadicMass(3, 3)"
+
+
 def test_immutable():
     m = DyadicMass(1, 1)
     with pytest.raises(AttributeError):

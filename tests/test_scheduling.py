@@ -1,10 +1,12 @@
 """Diagonal block schedule: contiguous ranges, hole sweeps, trace replay."""
 
+import gc
+
 import pytest
 
 from dyadicmeasure.adapters import RationalLine, make_adapter
 from dyadicmeasure.dyadic import DyadicMass
-from dyadicmeasure.errors import StageTooEarly
+from dyadicmeasure.errors import ScanExhausted, StageTooEarly
 from dyadicmeasure.masses import kappa
 from dyadicmeasure.scheduling import build_schedule, cover_union
 
@@ -56,6 +58,59 @@ def test_renamed_adapter_subclass_builds_the_same_blocks(line_d2):
     schedule, trace = build_schedule(MyLine(), 2)
     assert schedule.blocks == line_d2[1].blocks
     assert len(trace) == len(line_d2[2])
+
+
+# -- the cyclic collector ------------------------------------------------------
+
+
+@pytest.mark.parametrize("name, depth", [("rational-line", 4), ("cantor", 5)])
+def test_a_dropped_build_leaves_no_cyclic_garbage(name, depth):
+    """A build's state holds no reference cycle, so reference counting
+    frees all of it once the schedule, trace and adapter are dropped."""
+    gc.collect()
+    adapter = make_adapter(name)
+    schedule, trace = build_schedule(adapter, depth)
+    assert len(trace) == {"rational-line": 1526, "cantor": 4094}[name]
+    del adapter, schedule, trace
+    assert gc.collect() == 0
+
+
+class _CollectorWatch(RationalLine):
+    """A line adapter that records whether the collector runs at each
+    block boundary."""
+
+    def __init__(self):
+        super().__init__()
+        self.collector_on: list[bool] = []
+
+    def note_stage(self, stage):
+        self.collector_on.append(gc.isenabled())
+        super().note_stage(stage)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_build_pauses_the_collector_and_restores_it(enabled):
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        adapter = _CollectorWatch()
+        build_schedule(adapter, 2)
+        assert adapter.collector_on == [False, False, False]
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_a_failed_build_restores_the_collector(enabled):
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        with pytest.raises(ScanExhausted):
+            build_schedule(make_adapter("rational-line"), 2, scan_cap=1)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
 
 
 def test_line_depth2_permutation(line_d2):

@@ -35,7 +35,7 @@ ORACLE = settings(derandomize=True, deadline=None, max_examples=30)
 # error term too, so the exact comparison decides.  Few exponents, so that
 # values share them.
 NEAR_TIES = tuple(
-    t + s * (1 + nudge) / 2**k
+    t + s * (1 + nudge) * Fraction(1, 2**k)
     for k in (1, 2, 30, 52, 53, 54, 60, 107, 200, 450, 600)
     for t in (0, 1)
     for s in (-1, 1)

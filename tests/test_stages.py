@@ -3,19 +3,29 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dyadicmeasure.adapters import BasisHandle, make_adapter
 from dyadicmeasure.dyadic import DyadicMass
 from dyadicmeasure.errors import (
     DuplicateInsertion,
+    InvariantViolation,
     NotRepresentable,
     StageMismatch,
     UnknownCell,
 )
 from dyadicmeasure.masses import kappa
-from dyadicmeasure.regions import cantor_region, interval, line_region
+from dyadicmeasure.regions import (
+    cantor_region,
+    interval,
+    line_contains_point,
+    line_meet,
+    line_meet_exterior,
+    line_region,
+    line_subset,
+    line_union,
+)
 from dyadicmeasure.scheduling import build_schedule
 from dyadicmeasure.stages import (
     RingElement,
@@ -154,6 +164,17 @@ def test_builder_continues_from_snapshot(t1):
         resumed.insert(adapter.enumerate(3))
 
 
+def test_deep_mass_audit_failure_is_an_invariant_violation(
+    default_str_digit_limit,
+):
+    """The audit message prints masses past the int-to-str digit limit."""
+    builder = StageBuilder(make_adapter("rational-line"))
+    builder.insert(BasisHandle(1, interval(0, 1)))
+    builder.total = DyadicMass((1 << 20000) - 1, 20000)
+    with pytest.raises(InvariantViolation, match="mass audit failed"):
+        builder.snapshot()
+
+
 def test_builder_count(t1):
     _, builder, _ = t1
     assert builder.count == 3
@@ -196,6 +217,105 @@ def test_decompose_rejects_left_straddle(t1, parts):
     _, _, stages = t1
     with pytest.raises(NotRepresentable, match="open gap"):
         decompose(line_region(parts), stages[2])
+
+
+def decompose_by_brute_force(region, stage):
+    """``(open cells, residue points)`` of region, or None.
+
+    The cells meeting region must each lie inside it, and their union plus
+    finitely many inserted boundary points must be region: region minus
+    the closure of that union is empty, and the points left over are the
+    ends of the union's parts that lie in region.
+    """
+    meeting = [
+        cid
+        for cid, cell in stage.cells.items()
+        if not line_meet(cell.region, region).is_empty
+    ]
+    if not all(line_subset(stage.cells[cid].region, region) for cid in meeting):
+        return None
+    covered = stage.adapter.union_all(stage.cells[cid].region for cid in meeting)
+    if not line_meet_exterior(region, covered).is_empty:
+        return None
+    residue = {
+        x for part in covered.parts for x in part if line_contains_point(region, x)
+    }
+    if not residue <= stage.boundary_points:
+        return None
+    return frozenset(meeting), frozenset(residue)
+
+
+_GRID = st.integers(-8, 16).map(lambda n: F(n, 8))
+
+
+@st.composite
+def line_stages_and_regions(draw):
+    """A stage of up to 12 intervals on the grid of eighths in [-1, 2], and
+    a nonempty region: a union of some of its cells (representable), such
+    a union with a grid interval added or cut out, or 1-3 grid intervals
+    on the grid of sixteenths.  Inserted intervals nest and overlap, so
+    many cells have several parts."""
+    intervals = draw(
+        st.lists(
+            st.tuples(_GRID, _GRID).filter(lambda ab: ab[0] < ab[1]),
+            min_size=1,
+            max_size=12,
+            unique=True,
+        )
+    )
+    builder = StageBuilder(make_adapter("rational-line"))
+    for k, (a, b) in enumerate(intervals, start=1):
+        builder.insert(BasisHandle(k, interval(a, b)))
+    stage = builder.snapshot()
+    kind = draw(st.integers(0, 2))
+    if kind < 2:
+        chosen = draw(
+            st.lists(st.sampled_from(sorted(stage.cells)), min_size=1, unique=True)
+        )
+        region = stage.adapter.union_all(stage.cells[c].region for c in chosen)
+        if kind == 1:
+            ends = st.tuples(_GRID, _GRID).filter(lambda ab: ab[0] != ab[1])
+            a, b = sorted(draw(ends))
+            edit = line_union if draw(st.booleans()) else line_meet_exterior
+            region = edit(region, interval(a, b))
+    else:
+        fine = st.integers(-16, 32).map(lambda n: F(n, 16))
+        pairs = draw(
+            st.lists(
+                st.tuples(fine, fine).filter(lambda ab: ab[0] < ab[1]),
+                min_size=1,
+                max_size=3,
+            )
+        )
+        region = line_region(pairs)
+    assume(not region.is_empty)
+    return stage, region
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(line_stages_and_regions())
+def test_line_decompose_matches_brute_force(case):
+    """The keyed walk accepts exactly the regions the brute-force rule
+    accepts, with the same cells and residue points."""
+    stage, region = case
+    expected = decompose_by_brute_force(region, stage)
+    try:
+        d = decompose(region, stage)
+    except NotRepresentable:
+        assert expected is None
+    else:
+        assert expected == (d.open_cells, d.boundary_points)
+
+
+def test_line_decompose_rejects_a_cell_half_inside():
+    # (0, 2) minus [1/2, 1] leaves the cell (0, 1/2) u (1, 2)
+    builder = StageBuilder(make_adapter("rational-line"))
+    builder.insert(BasisHandle(1, interval(0, 2)))
+    builder.insert(BasisHandle(2, interval(F(1, 2), 1)))
+    stage = builder.snapshot()
+    with pytest.raises(NotRepresentable, match="pokes outside"):
+        decompose(interval(0, F(1, 2)), stage)
+    assert decompose(interval(0, 2), stage).boundary_points == {F(1, 2), F(1)}
 
 
 def test_ring_union_and_difference(t1):
