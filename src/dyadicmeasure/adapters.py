@@ -179,6 +179,9 @@ class SpaceAdapter:
 
     name: str = ""
     cell_index: type[_CellIndex]  # the stage engine's index of this space
+    # deepest schedule that builds in seconds (README "Depth guidance");
+    # None for no stated limit
+    practical_depth: int | None = None
 
     def __init__(self, injected: Sequence[object] = ()) -> None:
         for r in injected:
@@ -532,6 +535,7 @@ class RationalLine(SpaceAdapter):
 
     name = "rational-line"
     cell_index = _LineCells
+    practical_depth = 5
 
     def __init__(self, injected: Sequence[object] = ()) -> None:
         super().__init__(injected)
@@ -628,6 +632,7 @@ class CantorSpace(SpaceAdapter):
 
     name = "cantor"
     cell_index = _CantorCells
+    practical_depth = 6
 
     def _validate_basis(self, region: object) -> None:
         if not isinstance(region, CantorRegion) or len(region.prefixes) != 1:

@@ -173,10 +173,17 @@ def _parse_epsilon(text: str) -> DyadicMass:
 
 def _cmd_partition(args: argparse.Namespace) -> dict:
     epsilon = _parse_epsilon(args.epsilon)
-    depth = fragmentation_level(epsilon)
-    if args.depth is not None:
-        depth = args.depth
     adapter = _make_adapter(args)
+    depth = args.depth
+    if depth is None:
+        depth = fragmentation_level(epsilon)
+        limit = adapter.practical_depth
+        if limit is not None and depth > limit:
+            raise ConfigError(
+                f"epsilon {args.epsilon} derives depth {depth}, past the "
+                f"practical depth {limit} of the {adapter.name} adapter "
+                f'(README "Depth guidance"); pass --depth to build anyway'
+            )
     schedule, trace = build_schedule(adapter, depth, args.scan_cap)
     certificate = build_partition(schedule, trace, epsilon)
     return {

@@ -32,7 +32,7 @@ from fractions import Fraction
 from operator import itemgetter, or_, sub
 from typing import TYPE_CHECKING
 
-from sortedcontainers import SortedDict, SortedList
+from sortedcontainers import SortedList
 
 from .dyadic import DyadicMass, ZERO, dyadic_sum
 from .errors import (
@@ -255,6 +255,11 @@ def _line_entry(lo: Fraction, hi: Fraction, cid: int) -> tuple:
     return line_key(lo) + line_key(hi) + (cid,)
 
 
+def _span_entry(entries) -> tuple:
+    """Span entry of a cell from its part entries: first lo to last hi."""
+    return (*entries[0][:3], *entries[-1][3:])
+
+
 class _SpanIndex:
     """Stabbing index over the spans of multi-part line cells.
 
@@ -293,9 +298,13 @@ class _SpanIndex:
             self._max_hi.insert(i + 1, max(e[3] for e in tail))
 
     def remove(self, entry: tuple) -> None:
+        """Drop entry, which the index must hold."""
         i = bisect_right(self._firsts, entry) - 1
         block = self._blocks[i]
-        del block[bisect_left(block, entry)]
+        j = bisect_left(block, entry)
+        if i < 0 or j == len(block) or block[j] != entry:
+            raise KeyError(entry)
+        del block[j]
         if not block:
             del self._blocks[i], self._firsts[i], self._max_hi[i]
             return
@@ -320,12 +329,12 @@ class _SpanIndex:
 class _CellIndex:
     """Cell regions by id, refined one inserted set at a time.
 
-    Subclasses file regions (``add``), find the cells a new set splits,
-    refile each as its pieces inside and outside the set (``_split``), carve
-    the set (``new_region``) and absorb its closure.  An index holds regions
-    and ids only, never an adapter, so a stage, a builder or a line stream
-    that keeps one forms no reference cycle with its adapter and is freed
-    by reference counting once dropped.
+    Subclasses file new cells (``add``, or a ``_spawn`` of their own), find
+    the cells a new set splits, refile each as its pieces inside and outside
+    the set (``_split``), carve the set (``new_region``) and absorb its
+    closure.  An index holds regions and ids only, never an adapter, so a
+    stage, a builder or a line stream that keeps one forms no reference
+    cycle with its adapter and is freed by reference counting once dropped.
     """
 
     def __init__(self, regions: dict[int, object]):
@@ -357,14 +366,20 @@ class _CellIndex:
 class _LineCells(_CellIndex):
     """Cell index of the rational line.
 
-    Cell parts sit in one sorted list as flat keyed entries ``(lo_h, lo_e,
-    lo, hi_h, hi_e, hi, cell_id)``, where ``(lo_h, lo_e, lo)`` is
-    ``line_key(lo)``; parts are disjoint.  Cells with two or more parts also
-    sit in a ``_SpanIndex``, built when ``split_cells`` first needs it, so
-    an index that only decomposes never builds one.  The closures of the
-    inserted intervals are kept merged, as sorted closed intervals ``(lo_h,
-    lo_e, lo, hi_h, hi_e, hi)``; an index built from a stage's cells has
-    none.
+    Every cell part is one mutable keyed entry ``[lo_h, lo_e, lo, hi_h, hi_e,
+    hi, cell_id]``, where ``(lo_h, lo_e, lo)`` is ``line_key(lo)``.  Parts
+    are disjoint open intervals, so their starts are unique and one sorted
+    list of the entries is ordered by ``lo`` alone; a bisect probes it with
+    a bare key ``[lo_h, lo_e, lo]``.  Each cell also keeps its own entries,
+    ascending.  Refinement only ever makes the partition finer, so no start
+    ever goes away: a split shortens the entries that straddle the ends of
+    the new interval in place, adds one entry per cut-off tail and relabels
+    the cell's entries, and the list never loses an entry.  Cells with two
+    or more parts also sit in a ``_SpanIndex``, built when ``split_cells``
+    first needs it, so an index that only decomposes never builds one.  The
+    closures of the inserted intervals are kept merged, as a sorted list of
+    closed intervals ``[lo_h, lo_e, lo, hi_h, hi_e, hi]``; an index built
+    from a stage's cells has none.
 
     Every comparison goes through the keys, which order exactly like the
     rationals.  A key of one float is not enough: the straddlers around 0
@@ -376,39 +391,48 @@ class _LineCells(_CellIndex):
 
     def __init__(self, regions: dict[int, LineRegion]):
         super().__init__(regions)
-        self._parts = SortedList(
-            _line_entry(lo, hi, cid)
+        self._entries = {
+            cid: tuple(list(_line_entry(lo, hi, cid)) for lo, hi in region.parts)
             for cid, region in regions.items()
-            for lo, hi in region.parts
+        }
+        self._parts = SortedList(
+            entry for entries in self._entries.values() for entry in entries
         )
         self._spans: _SpanIndex | None = None  # cells with two or more parts
-        self._closures = SortedList()
+        self._closures: list[list] = []
         self._ends_of: tuple = (None, None, None)
 
-    def add(self, cid: int, region: LineRegion) -> None:
-        self._file(cid, [(line_key(lo), line_key(hi)) for lo, hi in region.parts])
+    def _spawn(self, region: LineRegion) -> int:
+        entries = [list(_line_entry(lo, hi, 0)) for lo, hi in region.parts]
+        self._parts.update(entries)
+        return self._file(entries)
 
-    def _file(self, cid: int, keyed: list[tuple[tuple, tuple]]) -> None:
-        """Enter cell cid, given as the keys ``(lo, hi)`` of its parts."""
-        for k_lo, k_hi in keyed:
-            self._parts.add(k_lo + k_hi + (cid,))
-        if self._spans is not None and len(keyed) > 1:
-            self._spans.add(keyed[0][0] + keyed[-1][1] + (cid,))
+    def _file(self, entries: list[list]) -> int:
+        """Make a new cell of entries already in the part list: relabel
+        them, and file the cell's region and span.  Returns its id."""
+        cid = self.next_id
+        self.next_id += 1
+        for entry in entries:
+            entry[6] = cid
+        self._entries[cid] = entries = tuple(entries)
+        self.regions[cid] = LineRegion(tuple((e[2], e[5]) for e in entries))
+        if self._spans is not None and len(entries) > 1:
+            self._spans.add(_span_entry(entries))
+        return cid
 
-    def _ends(self, region: LineRegion) -> tuple[tuple, tuple]:
+    def _ends(self, region: LineRegion) -> tuple[list, list]:
         """Keys of the endpoints of a new interval, kept for its refinement."""
         if self._ends_of[0] is not region:
             a, b = region.parts[0]
-            self._ends_of = (region, line_key(a), line_key(b))
+            self._ends_of = (region, [*line_key(a)], [*line_key(b)])
         return self._ends_of[1], self._ends_of[2]
 
     def _span_index(self) -> _SpanIndex:
         if self._spans is None:
             self._spans = _SpanIndex()
-            for cid, region in self.regions.items():
-                if len(region.parts) > 1:
-                    lo, hi = region.parts[0][0], region.parts[-1][1]
-                    self._spans.add(_line_entry(lo, hi, cid))
+            for entries in self._entries.values():
+                if len(entries) > 1:
+                    self._spans.add(_span_entry(entries))
         return self._spans
 
     def leftmost_parts(self):
@@ -447,7 +471,7 @@ class _LineCells(_CellIndex):
             a, b = region.parts[0]
             spans = self._span_index()
             for key in (ka, kb):
-                for cid in spans.stab(key):
+                for cid in spans.stab(tuple(key)):
                     if cid in seen:
                         continue
                     cell_parts = self.regions[cid].parts
@@ -462,44 +486,44 @@ class _LineCells(_CellIndex):
         """Refile cell old as two cells, its parts inside (a, b) and outside
         [a, b], and return their ids.
 
-        One keyed pass over the cell's parts: each endpoint is keyed once,
-        and the key serves the removal, the cut and the new entries.
+        At most two entries straddle a or b.  Each is cut in place at the
+        end it straddles, and its tail past that end becomes one new entry
+        that starts there; then the cell's entries are relabelled inside or
+        outside.  No entry leaves the part list and no endpoint is keyed:
+        the cuts are the keys of a and b.
         """
-        cell = self.regions.pop(old)
+        del self.regions[old]
+        entries = self._entries.pop(old)
+        if self._spans is not None and len(entries) > 1:
+            # the span entry holds the keys the cuts are about to change
+            self._spans.remove(_span_entry(entries))
         ka, kb = self._ends(region)
-        keyed = [(line_key(lo), line_key(hi)) for lo, hi in cell.parts]
-        if self._spans is not None and len(keyed) > 1:
-            self._spans.remove(keyed[0][0] + keyed[-1][1] + (old,))
+        add = self._parts.add
         inside: list = []
         outside: list = []
-        for k_lo, k_hi in keyed:
-            self._parts.remove(k_lo + k_hi + (old,))
-            if k_hi <= ka or k_lo >= kb:
-                outside.append((k_lo, k_hi))
+        for entry in entries:
+            if entry[3:6] <= ka or entry[:3] >= kb:
+                outside.append(entry)
                 continue
-            before_a, past_b = k_lo < ka, k_hi > kb
-            if before_a:
-                outside.append((k_lo, ka))
-            inside.append((ka if before_a else k_lo, kb if past_b else k_hi))
-            if past_b:
-                outside.append((kb, k_hi))
-        return self._spawn_keyed(inside), self._spawn_keyed(outside)
-
-    def _spawn_keyed(self, keyed: list[tuple[tuple, tuple]]) -> int:
-        cid = self.next_id
-        self.next_id += 1
-        self.regions[cid] = LineRegion(tuple((lo[2], hi[2]) for lo, hi in keyed))
-        self._file(cid, keyed)
-        return cid
+            if entry[:3] < ka:
+                outside.append(entry)
+                entry[3:6], entry = ka, ka + entry[3:]
+                add(entry)
+            inside.append(entry)
+            if entry[3:6] > kb:
+                entry[3:6], tail = kb, kb + entry[3:]
+                add(tail)
+                outside.append(tail)
+        return self._file(inside), self._file(outside)
 
     def locate_host(self, region: LineRegion) -> int | None:
         a, b = region.parts[0]
-        idx = self._parts.bisect_left(line_key(a))
+        idx = self._parts.bisect_left([*line_key(a)])
         if idx == 0:
             return None
         # the part before the bisect starts strictly before a
         entry = self._parts[idx - 1]
-        if entry[3:6] > line_key(b):
+        if entry[3:6] > [*line_key(b)]:
             return entry[6]
         return None
 
@@ -537,11 +561,10 @@ class _LineCells(_CellIndex):
             lo = min(lo, c[:3])
             hi = max(hi, c[3:6])
             idx += 1
-        del closures[first:idx]
-        closures.add(lo + hi)
+        closures[first:idx] = [lo + hi]
 
-    def _closure_scan_start(self, ka: tuple) -> int:
-        idx = self._closures.bisect_left(ka)
+    def _closure_scan_start(self, ka: list) -> int:
+        idx = bisect_left(self._closures, ka)
         if idx > 0 and self._closures[idx - 1][3:6] >= ka:
             idx -= 1
         return idx
@@ -558,7 +581,7 @@ class _LineCells(_CellIndex):
         visits: dict[int, int] = {}
         residue: set[Fraction] = set()
         for p, q in region.parts:
-            kp, kq = line_key(p), line_key(q)
+            kp, kq = [*line_key(p)], [*line_key(q)]
             # a part straddling p leaves the open gap after p uncovered
             idx = parts.bisect_left(kp)
             cursor = kp
@@ -603,44 +626,65 @@ class _LineCells(_CellIndex):
 class _CantorCells(_CellIndex):
     """Cell index of Cantor space.
 
-    One sorted map takes every prefix of every cell to its cell.  Cells are
-    disjoint, so all their prefixes together form an antichain: the only key
-    that can be a prefix of w is the greatest key <= w, and the keys under w
-    are one range of the map.  The union of the inserted cylinders is kept
-    as one region; an index built from a stage's cells has it empty.
+    A dict takes every prefix of every cell to its cell.  Cells are
+    disjoint, so all their prefixes together form an antichain of keys: a
+    word is a key, or a proper prefix of keys (populated), or neither.  A
+    set holds the populated words.  Refinement only makes cells finer, so
+    each key a split drops is covered by the keys filed under it, and a
+    populated word stays populated: the set only grows, and filing a key
+    walks up only until it meets a word already in it.  Walking up from w,
+    the first key met holds w, and a populated word met first means no key
+    does; walking down from w through populated words reaches exactly the
+    keys under w.  The union of the inserted cylinders is kept as one
+    region; an index built from a stage's cells has it empty.
     """
 
     def __init__(self, regions: dict[int, CantorRegion]):
         super().__init__(regions)
-        self._members = SortedDict(
-            (p, cid) for cid, region in regions.items() for p in region.prefixes
-        )
+        self._members: dict[str, int] = {}
+        self._populated: set[str] = set()
+        for cid, region in regions.items():
+            self.add(cid, region)
         self._covered = cantor_region(())
 
     def add(self, cid: int, region: CantorRegion) -> None:
+        populated = self._populated
         for p in region.prefixes:
             self._members[p] = cid
-
-    def remove(self, cid: int, region: CantorRegion) -> None:
-        for p in region.prefixes:
-            del self._members[p]
+            while p:
+                p = p[:-1]
+                if p in populated:
+                    break
+                populated.add(p)
 
     def _holder(self, w: str) -> int | None:
         """The cell with a prefix of w (w itself included), if any.
 
         At most one key is a prefix of w, and the cylinder w lies inside
-        that key's cell.
+        that key's cell.  A populated prefix of w lies above some key, so
+        no shorter prefix of w is a key.
         """
-        k = self._members.bisect_right(w)
-        if k:
-            key, cid = self._members.peekitem(k - 1)
-            if w.startswith(key):
+        members, populated = self._members, self._populated
+        for k in range(len(w), -1, -1):
+            u = w[:k]
+            cid = members.get(u)
+            if cid is not None:
                 return cid
+            if u in populated:
+                return None
         return None
 
-    def _under(self, w: str):
-        """Prefixes that have w as a prefix, w included, ascending."""
-        return self._members.irange(w, w + "2", inclusive=(True, False))
+    def _under(self, w: str) -> list[str]:
+        """Keys that have w as a prefix, w included, ascending."""
+        out = []
+        stack = [w]
+        while stack:
+            u = stack.pop()
+            if u in self._members:
+                out.append(u)
+            elif u in self._populated:
+                stack += (u + "1", u + "0")
+        return out
 
     def split_cells(self, region: CantorRegion) -> list[int]:
         """Ids of the cells the insertion of cylinder w splits, ascending.
@@ -670,7 +714,10 @@ class _CantorCells(_CellIndex):
 
     def _split(self, old: int, region: CantorRegion) -> tuple[int, int]:
         cell = self.regions.pop(old)
-        self.remove(old, cell)
+        # the two pieces file keys under each dropped one, which therefore
+        # stays a key or becomes populated
+        for p in cell.prefixes:
+            del self._members[p]
         return (
             self._spawn(cantor_meet(cell, region)),
             self._spawn(cantor_minus(cell, region)),

@@ -1,6 +1,7 @@
 """Command line front end: payload shapes, determinism, exit codes."""
 
 import json
+import time
 
 import pytest
 
@@ -200,6 +201,42 @@ def test_partition_depth_too_small(capsys):
     )
     assert code == 2
     assert "m=4" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["partition", "1/32"],
+            "config error: epsilon 1/32 derives depth 6, past the practical "
+            "depth 5 of the rational-line adapter (README \"Depth guidance\"); "
+            "pass --depth to build anyway\n",
+        ),
+        (
+            ["partition", "1/64", "--adapter", "cantor"],
+            "config error: epsilon 1/64 derives depth 7, past the practical "
+            "depth 6 of the cantor adapter (README \"Depth guidance\"); "
+            "pass --depth to build anyway\n",
+        ),
+    ],
+    ids=["line-1/32", "cantor-1/64"],
+)
+def test_partition_past_practical_depth_fails_fast(capsys, argv, message):
+    """A depth derived from epsilon past the adapter's practical depth is
+    refused before any build starts."""
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, err) == (2, "", message)
+
+
+def test_partition_explicit_depth_skips_the_practical_limit(capsys):
+    # the schedule is built at depth 3 and is too shallow for m=7
+    code, _, err = run(
+        capsys, "partition", "1/64", "--adapter", "cantor", "--depth", "3"
+    )
+    assert code == 2
+    assert "m=7" in err and "practical" not in err
 
 
 @pytest.mark.parametrize(

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from sortedcontainers import SortedList
 
 from dyadicmeasure.adapters import BasisHandle, make_adapter
 from dyadicmeasure.dyadic import DyadicMass
@@ -30,7 +31,9 @@ from dyadicmeasure.scheduling import build_schedule
 from dyadicmeasure.stages import (
     RingElement,
     StageBuilder,
+    _CantorCells,
     _CellIndex,
+    _LineCells,
     decompose,
     line_key,
     ring_difference,
@@ -432,6 +435,34 @@ def test_locate_host_cantor_skips_sibling_below():
     assert builder.locate_host(cantor_region(["10"])) == 2
 
 
+@st.composite
+def cantor_cells(draw):
+    """Disjoint cells of up to three cylinders each, from an antichain of
+    random words, and probe words around them."""
+    words = draw(st.lists(st.text(alphabet="01", max_size=6), max_size=14))
+    keys = sorted(
+        {w for w in words if not any(w != u and w.startswith(u) for u in words)}
+    )
+    cells = {}
+    for n, w in enumerate(keys):
+        cid = draw(st.integers(1, max(1, (n + 2) // 3)))
+        cells.setdefault(cid, []).append(w)
+    probes = draw(st.lists(st.text(alphabet="01", max_size=8), max_size=10))
+    return {cid: cantor_region(ws) for cid, ws in cells.items()}, probes
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(cantor_cells())
+def test_cantor_holder_and_under_match_a_key_scan(case):
+    regions, probes = case
+    index = _CantorCells(regions)
+    keys = {p: cid for cid, region in regions.items() for p in region.prefixes}
+    for w in probes + [p + t for p in keys for t in ("", "0", "1")] + [""]:
+        holders = [cid for p, cid in keys.items() if w.startswith(p)]
+        assert index._holder(w) == (holders[0] if holders else None)
+        assert index._under(w) == sorted(p for p in keys if p.startswith(w))
+
+
 def test_decompose_cantor():
     stage = _cantor_two_cells().snapshot()
     assert decompose(cantor_region(["00"]), stage).open_cells == {2}
@@ -572,6 +603,55 @@ def test_line_depth4_build_refines_what_it_reads(monkeypatch):
     assert len(trace) == 1526
     assert adapter._stream._refined == 0
     assert calls == 1526
+
+
+def test_line_depth4_build_refines_parts_in_place(monkeypatch):
+    """A split cuts the parts that straddle the new interval's ends at
+    those ends' keys, so it keys no endpoint and removes no part entry.
+
+    A depth-4 line build keys the ends of each insertion and each hole,
+    the holes' union and the class middles: 10,318 ``line_key`` calls,
+    against 15,958 when a split removed and re-keyed every part of the
+    cell it split.
+    """
+    calls = {"all": 0, "split": 0}
+    in_split = False
+    original_key = line_key
+    original_split = _LineCells._split
+
+    def counting_key(x):
+        calls["all"] += 1
+        calls["split"] += in_split
+        return original_key(x)
+
+    def counting_split(self, old, region):
+        nonlocal in_split
+        in_split = True
+        try:
+            return original_split(self, old, region)
+        finally:
+            in_split = False
+
+    removals = 0
+
+    def removal(name):
+        original = getattr(SortedList, name)
+
+        def counting(self, *args):
+            nonlocal removals
+            removals += 1
+            return original(self, *args)
+
+        return counting
+
+    monkeypatch.setattr("dyadicmeasure.stages.line_key", counting_key)
+    monkeypatch.setattr("dyadicmeasure.adapters.line_key", counting_key)
+    monkeypatch.setattr(_LineCells, "_split", counting_split)
+    for name in ("remove", "discard", "pop", "__delitem__"):
+        monkeypatch.setattr(SortedList, name, removal(name))
+    build_schedule(make_adapter("rational-line"), 4)
+    assert calls == {"all": 10_318, "split": 0}
+    assert removals == 0
 
 
 @pytest.mark.parametrize("sign", [1, -1])
