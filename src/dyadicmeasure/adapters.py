@@ -10,8 +10,8 @@ order interleaves two deterministic streams:
   rationals, length over positive rationals, combined with the Cantor
   pairing) and skipping intervals that already appeared;
 * a refinement stream everywhere else: six fixed seed intervals, then one
-  pack per position of the diagonal walk over pairs (i, j), the same walk
-  a schedule of blocks takes.  The pack for (i, j) with j >= 2 first emits
+  pack per position of ``diagonal_walk`` over pairs (i, j), the walk a
+  schedule of blocks takes too.  The pack for (i, j) with j >= 2 first emits
   one interval per signature class of the emissions made so far (the
   middle half of the class's leftmost component), and every pack for
   i <= 6 ends with a pair of intervals straddling the two endpoints of
@@ -60,8 +60,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from math import isqrt
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     DuplicateInsertion,
@@ -164,6 +165,17 @@ def cantor_unpair(n: int) -> tuple[int, int]:
     w = (isqrt(8 * n + 1) - 1) // 2
     j = n - w * (w + 1) // 2
     return w - j, j
+
+
+def diagonal_walk() -> Iterator[tuple[int, int]]:
+    """Yield (1,1), (2,1), (1,2), (3,1), (2,2), (1,3), ... without end.
+
+    Diagonal s holds the pairs with i + j = s, from (s - 1, 1) down to
+    (1, s - 1); the first d diagonals are the first d * (d + 1) / 2 terms.
+    """
+    for s in count(2):
+        for j in range(1, s):
+            yield s - j, j
 
 
 # -- base adapter -------------------------------------------------------------
@@ -396,9 +408,7 @@ class _LineStream:
         self._emitted: list[LineRegion] = []
         self._position: dict[LineRegion, int] = {}
         self._seed_queue = [interval(a, b) for a, b in _SEEDS]
-        self._diag_i = 0
-        self._diag_j = 0
-        self._pack_no = 0
+        self._walk = enumerate(diagonal_walk(), 1)  # (position, (i, j))
         self._part_queue: list[LineRegion] = []
         self._b_rank = 1
         self._classes = _LineCells({})
@@ -446,23 +456,17 @@ class _LineStream:
                 return cand
 
     def _advance_pack(self) -> None:
-        """Queue the pack for the next position of the diagonal walk."""
-        i, j = self._diag_i, self._diag_j
-        if i == 0:
-            i, j = 1, 1
-        elif i > 1:
-            i, j = i - 1, j + 1
-        else:
-            i, j = j + 1, 1
-        self._diag_i, self._diag_j = i, j
-        self._pack_no += 1
-        pack: list[LineRegion] = []
-        if j >= 2:
-            pack.extend(self._class_middles())
+        """Queue the pack for the next position of ``diagonal_walk``.
+
+        The pack for (i, j) with j >= 2 starts with the class middles, and
+        for i <= 6 it ends with the straddlers of seed i, whose width the
+        walk position sets.
+        """
+        position, (i, j) = next(self._walk)
+        pack = self._class_middles() if j >= 2 else []
         if i <= len(_SEEDS):
-            d = _straddle_width(self._pack_no)
-            for t in _SEEDS[i - 1]:
-                pack.append(interval(t - d, t + d))
+            d = _straddle_width(position)
+            pack.extend(interval(t - d, t + d) for t in _SEEDS[i - 1])
         self._part_queue = pack
 
     def note_stage(
@@ -492,22 +496,23 @@ class _LineStream:
 
         The classes depend only on the set of emissions, so a noted stage
         that inserted exactly the emissions made so far has them as its
-        cells, and its cells' leftmost parts sorted by key are the ones the
-        class index would yield.  Any other stage is ignored, and the class
-        index refines the emissions it does not hold yet, in order.
+        cells.  Any other stage is ignored, and the class index refines the
+        emissions it does not hold yet, in order.  Either way the classes'
+        leftmost parts are taken in ascending order of their left ends.
         """
         noted, self._noted = self._noted, None
         n = len(self._emitted)
         if noted is not None and self._holds_emissions(noted[0], noted[1], n):
-            lefts = sorted(
-                (cell.region.parts[0] for cell in noted[2].values()),
-                key=lambda part: line_key(part[0]),
-            )
+            regions = (cell.region for cell in noted[2].values())
         else:
             for region in self._emitted[self._refined:]:
                 self._classes.refine(region)
             self._refined = n
-            lefts = self._classes.leftmost_parts()
+            regions = self._classes.regions.values()
+        lefts = sorted(
+            (region.parts[0] for region in regions),
+            key=lambda part: line_key(part[0]),
+        )
         return [_middle_half(lo, hi) for lo, hi in lefts]
 
     def rank_bound(self, region: LineRegion) -> int:

@@ -3,8 +3,9 @@
 Outputs are deterministic given the arguments: JSON is emitted with sorted
 keys and fixed indentation, every mass appears as an exact mantissa/scale
 pair, and all sampling is seeded.  Exit codes: 0 on success, 2 for
-configuration problems, 3 when a verification suite finds a violation (a
-counterexample artifact is written in that case).
+configuration problems (an unwritable ``--out`` among them), 3 when a
+verification suite finds a violation (a counterexample artifact is written
+in that case, or stderr says why it could not be).
 """
 
 from __future__ import annotations
@@ -237,11 +238,14 @@ def _reproduction(args: argparse.Namespace, exc: VerificationViolation) -> dict:
 
 
 def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
+    if not out_path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write --out: {exc}") from exc
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -334,6 +338,7 @@ def main(argv=None) -> int:
             text = _to_csv(payload)
         else:
             text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        _emit(text, args.out)
     except VerificationViolation as exc:
         artifact = json.dumps(
             {
@@ -345,10 +350,14 @@ def main(argv=None) -> int:
             sort_keys=True,
         )
         path = args.out or VIOLATION_ARTIFACT
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(artifact + "\n")
         print(f"verification violation: {exc}", file=sys.stderr)
-        print(f"counterexample written to {path}", file=sys.stderr)
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(artifact + "\n")
+        except OSError as err:
+            print(f"no counterexample written: {err}", file=sys.stderr)
+        else:
+            print(f"counterexample written to {path}", file=sys.stderr)
         return 3
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -356,7 +365,6 @@ def main(argv=None) -> int:
     except DyadicMeasureError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit(text, args.out)
     return 0
 
 

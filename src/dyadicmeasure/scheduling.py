@@ -1,11 +1,13 @@
 """Boundary-annihilating insertion schedules.
 
-``build_schedule`` arranges the basis into blocks R(i, j) walked in diagonal
-order R(1,1), R(2,1), R(1,2), R(3,1), R(2,2), R(1,3), ...  Block (i, 1)
-selects a finite cover of the boundary of V_i.  Block (i, j) for j >= 2
-first selects one hole per current cell (a basis element whose closure sits
-strictly inside the cell) and then covers the boundary of V_i again, this
-time inside the previous cover minus the hole closures.  Every block also
+``build_schedule`` arranges the basis into blocks R(i, j) in the order of
+``adapters.diagonal_walk``: R(1,1), R(2,1), R(1,2), R(3,1), R(2,2), R(1,3),
+...; depth d takes the first d diagonals.  Every block covers the boundary
+of V_i with one finite subcover.  Block (i, 1) covers it unconstrained.
+Block (i, j) for j >= 2 first selects one hole per current cell (a basis
+element whose closure sits strictly inside the cell) and covers inside the
+previous cover minus the hole closures, a constraint it forms only when
+V_i has boundary points (Cantor cylinders have none).  Every block also
 sweeps in the unselected indices of its contiguous range, so the flattened
 schedule is a permutation of an initial segment of the basis.
 
@@ -25,8 +27,9 @@ from __future__ import annotations
 import gc
 from dataclasses import dataclass, field
 from functools import wraps
+from itertools import islice
 
-from .adapters import BasisHandle, DEFAULT_SCAN_CAP, SpaceAdapter
+from .adapters import BasisHandle, DEFAULT_SCAN_CAP, SpaceAdapter, diagonal_walk
 from .errors import ScanExhausted, StageTooEarly
 from .stages import RingElement, Stage, StageBuilder, StepRecord, decompose
 
@@ -138,14 +141,6 @@ class Trace:
                 yield builder.snapshot()
 
 
-def _diagonal_blocks(depth: int) -> list[tuple[int, int]]:
-    out = []
-    for s in range(2, depth + 2):
-        for j in range(1, s):
-            out.append((s - j, j))
-    return out
-
-
 def _hole_sweep(
     adapter: SpaceAdapter,
     builder: StageBuilder,
@@ -225,40 +220,24 @@ def build_schedule(
     snapshots: dict[int, Stage] = {}
     prev_cover_region: dict[int, object] = {}
     frontier = 0
-    for i, j in _diagonal_blocks(depth):
-        if j == 1:
-            v = adapter.enumerate(i)
-            points = adapter.boundary(v)
-            cover = (
-                adapter.finite_subcover(
-                    points, None, frozenset(), frontier + 1, scan_cap
-                )
-                if points
-                else ()
-            )
-            holes: tuple[BasisHandle, ...] = ()
-            hole_hosts: tuple[tuple[int, int], ...] = ()
-        else:
+    for i, j in islice(diagonal_walk(), depth * (depth + 1) // 2):
+        holes: tuple[BasisHandle, ...] = ()
+        hole_hosts: tuple[tuple[int, int], ...] = ()
+        if j >= 2:
             holes, hole_hosts = _hole_sweep(
                 adapter, builder, frontier + 1, scan_cap
             )
-            v = adapter.enumerate(i)
-            points = adapter.boundary(v)
-            cover = ()
-            if points:
-                # the exterior of a finite union is the meet of the exteriors
-                constraint = adapter.meet_exterior(
-                    prev_cover_region[i],
-                    adapter.union_all(h.region for h in holes),
-                )
-                cover = adapter.finite_subcover(
-                    points,
-                    constraint,
-                    frozenset(h.index for h in holes),
-                    frontier + 1,
-                    scan_cap,
-                )
         hole_set = {h.index for h in holes}
+        points = adapter.boundary(adapter.enumerate(i))
+        constraint = None
+        if points and j >= 2:
+            # the exterior of a finite union is the meet of the exteriors
+            constraint = adapter.meet_exterior(
+                prev_cover_region[i], adapter.union_all(h.region for h in holes)
+            )
+        cover = adapter.finite_subcover(
+            points, constraint, hole_set, frontier + 1, scan_cap
+        )
         cover_set = {h.index for h in cover}
         selected = hole_set | cover_set
         g = max([frontier, i, *selected])

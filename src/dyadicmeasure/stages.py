@@ -298,11 +298,13 @@ class _SpanIndex:
             self._max_hi.insert(i + 1, max(e[3] for e in tail))
 
     def remove(self, entry: tuple) -> None:
-        """Drop entry, which the index must hold."""
+        """Drop entry; raise KeyError if the index does not hold it."""
         i = bisect_right(self._firsts, entry) - 1
+        if i < 0:
+            raise KeyError(entry)
         block = self._blocks[i]
         j = bisect_left(block, entry)
-        if i < 0 or j == len(block) or block[j] != entry:
+        if j == len(block) or block[j] != entry:
             raise KeyError(entry)
         del block[j]
         if not block:
@@ -434,14 +436,6 @@ class _LineCells(_CellIndex):
                 if len(entries) > 1:
                     self._spans.add(_span_entry(entries))
         return self._spans
-
-    def leftmost_parts(self):
-        """``(lo, hi)`` of each cell's leftmost part, ascending."""
-        seen: set[int] = set()
-        for entry in self._parts:
-            if entry[6] not in seen:
-                seen.add(entry[6])
-                yield entry[2], entry[5]
 
     def split_cells(self, region: LineRegion) -> list[int]:
         """Ids of the cells the insertion of region splits, ascending.

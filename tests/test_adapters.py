@@ -12,6 +12,7 @@ from dyadicmeasure.adapters import (
     cantor_unpair,
     cw_rank,
     cw_value,
+    diagonal_walk,
     make_adapter,
     rational_rank,
     rational_value,
@@ -418,3 +419,10 @@ def test_cantor_pair_roundtrip(a, b):
 
 def test_cantor_pair_base():
     assert cantor_pair(0, 0) == 0
+
+
+def test_diagonal_walk_head():
+    walk = diagonal_walk()
+    assert [next(walk) for _ in range(7)] == [
+        (1, 1), (2, 1), (1, 2), (3, 1), (2, 2), (1, 3), (4, 1),
+    ]

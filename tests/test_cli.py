@@ -277,6 +277,15 @@ def test_bad_basis_file_path(capsys):
     assert "cannot read basis file" in err
 
 
+def test_unwritable_out_path(capsys, tmp_path):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run(capsys, "schedule", "--depth", "1", "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert "config error: cannot write --out:" in err
+    assert not target.exists()
+
+
 def test_bad_basis_literal(capsys, tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("(1,1)\n", encoding="utf-8")
@@ -311,6 +320,23 @@ def test_violation_writes_artifact(capsys, tmp_path, monkeypatch):
         "seed": 0,
         "depth": 2,
     }
+
+
+def test_violation_with_unwritable_artifact_path(capsys, tmp_path, monkeypatch):
+    def explode(stage, sample_count=1000, seed=0):
+        raise AdditivityViolation("boom")
+
+    monkeypatch.setattr(cli, "check_additivity", explode)
+    target = tmp_path / "missing" / "violation.json"
+    code, _, err = run(
+        capsys, "verify", "--adapter", "cantor", "--depth", "2",
+        "--out", str(target),
+    )
+    assert code == 3
+    assert "verification violation: boom" in err
+    assert "no counterexample written" in err
+    assert "counterexample written to" not in err
+    assert not target.exists()
 
 
 def test_partition_violation_artifact_names_epsilon(capsys, tmp_path, monkeypatch):

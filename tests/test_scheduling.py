@@ -1,10 +1,11 @@
 """Diagonal block schedule: contiguous ranges, hole sweeps, trace replay."""
 
 import gc
+from itertools import islice
 
 import pytest
 
-from dyadicmeasure.adapters import RationalLine, make_adapter
+from dyadicmeasure.adapters import RationalLine, diagonal_walk, make_adapter
 from dyadicmeasure.dyadic import DyadicMass
 from dyadicmeasure.errors import ScanExhausted, StageTooEarly
 from dyadicmeasure.masses import kappa
@@ -26,6 +27,14 @@ def cantor_d3():
 
 
 # -- frozen structure ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["rational-line", "cantor"])
+def test_depth3_blocks_follow_the_diagonal_walk(name):
+    schedule, _ = build_schedule(make_adapter(name), 3)
+    assert [(b.i, b.j) for b in schedule.blocks] == list(
+        islice(diagonal_walk(), 6)
+    )
 
 
 def test_line_depth2_blocks(line_d2):

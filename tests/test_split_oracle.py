@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -223,3 +224,17 @@ def test_span_index_stabs_like_brute_force(spans):
     for x in (Fraction(n, 6) for n in range(-1, 925, 5)):
         expected = sorted(e[6] for e in kept if e[2] < x < e[5])
         assert sorted(index.stab(stages.line_key(x))) == expected
+
+
+def test_span_index_remove_of_a_missing_entry_raises_key_error():
+    entry = stages._line_entry(Fraction(0), Fraction(1), 1)
+    index = stages._SpanIndex()
+    with pytest.raises(KeyError):
+        index.remove(entry)
+    index.add(entry)
+    for lo in (-1, 1):  # before and after the one entry held
+        with pytest.raises(KeyError):
+            index.remove(stages._line_entry(Fraction(lo), Fraction(lo + 1), 2))
+    index.remove(entry)
+    with pytest.raises(KeyError):
+        index.remove(entry)

@@ -9,9 +9,8 @@ child gets half its parent's mass, and the new set minus the closure of
 every earlier one, when nonempty, is a fresh cell of mass ``2**-k`` at
 stage k.  After every step the builder must agree with it on the cells
 (region, mass, kind, parent, birth), the step records, the snapshot's mass
-audit and ``locate_host`` against a scan of every cell; on the line also on
-each cell's leftmost part, and on Cantor space on ``_holder``, ``_under``
-and the words the host walk looks at.  ``decompose`` of unions of cells,
+audit and ``locate_host`` against a scan of every cell; on Cantor space also
+on ``_holder``, ``_under`` and the words the host walk looks at.  ``decompose`` of unions of cells,
 edited or not, must agree with a brute-force rule.
 """
 
@@ -244,11 +243,6 @@ class LineMachine(EngineMachine):
     @rule(probe=line_intervals)
     def host_of(self, probe) -> None:
         self.check_host(probe)
-
-    @invariant()
-    def leftmost_parts_in_order(self) -> None:
-        lefts = sorted(cell[0].parts[0] for cell in self.cells.values())
-        assert list(self.builder._index.leftmost_parts()) == lefts
 
     @invariant()
     def hosts_between_endpoints(self) -> None:
