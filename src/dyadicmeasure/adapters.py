@@ -58,6 +58,7 @@ them, skipping values equal to an injected element.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
@@ -407,9 +408,9 @@ class _LineStream:
     def __init__(self) -> None:
         self._emitted: list[LineRegion] = []
         self._position: dict[LineRegion, int] = {}
-        self._seed_queue = [interval(a, b) for a, b in _SEEDS]
+        # seeds, then the members of each pack
+        self._queue = deque(interval(a, b) for a, b in _SEEDS)
         self._walk = enumerate(diagonal_walk(), 1)  # (position, (i, j))
-        self._part_queue: list[LineRegion] = []
         self._b_rank = 1
         self._classes = _LineCells({})
         self._refined = 0  # emissions the class index holds
@@ -446,12 +447,9 @@ class _LineStream:
 
     def _next_refinement(self) -> LineRegion:
         while True:
-            if self._seed_queue:
-                cand = self._seed_queue.pop(0)
-            else:
-                while not self._part_queue:
-                    self._advance_pack()
-                cand = self._part_queue.pop(0)
+            while not self._queue:
+                self._advance_pack()
+            cand = self._queue.popleft()
             if cand not in self._position:
                 return cand
 
@@ -467,7 +465,7 @@ class _LineStream:
         if i <= len(_SEEDS):
             d = _straddle_width(position)
             pack.extend(interval(t - d, t + d) for t in _SEEDS[i - 1])
-        self._part_queue = pack
+        self._queue.extend(pack)
 
     def note_stage(
         self, index: int, inserted: tuple[BasisHandle, ...], cells: dict

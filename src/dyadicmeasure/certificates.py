@@ -636,12 +636,8 @@ def check_permutation_invariance(
 
     def run(regions):
         local = adapter.with_injected(regions)
-        builder = StageBuilder(local)
-        stages = []
-        for index in range(1, len(regions) + 1):
-            builder.insert(local.enumerate(index))
-            stages.append(builder.snapshot())
-        return stages
+        handles = (local.enumerate(k) for k in range(1, len(regions) + 1))
+        return list(StageBuilder(local).run(handles))
 
     stages_a = run(prefix)
     stages_b = run(permuted)
@@ -697,13 +693,10 @@ def check_positivity(adapter: SpaceAdapter, count: int = 50) -> PositivityReport
     """
     if count < 1:
         raise ConfigError(f"count must be >= 1, got {count}")
-    builder = StageBuilder(adapter)
+    handles = (adapter.enumerate(k) for k in range(1, count + 1))
     least: DyadicMass | None = None
-    for index in range(1, count + 1):
-        handle = adapter.enumerate(index)
-        builder.insert(handle)
-        stage = builder.snapshot()
-        value = kappa(stage, decompose(handle.region, stage))
+    for index, stage in enumerate(StageBuilder(adapter).run(handles), 1):
+        value = kappa(stage, decompose(stage.inserted[-1].region, stage))
         if value.is_zero:
             raise VerificationViolation(
                 f"basis set {index} of {adapter.name} evaluated to zero "

@@ -93,11 +93,9 @@ def _check_counts(args: argparse.Namespace) -> None:
 
 def _cmd_build(args: argparse.Namespace) -> dict:
     adapter = _make_adapter(args)
-    builder = StageBuilder(adapter)
-    table = []
-    for index in range(1, args.stages + 1):
-        builder.insert(adapter.enumerate(index))
-        table.append(_stage_rows(builder.snapshot(), adapter))
+    handles = (adapter.enumerate(k) for k in range(1, args.stages + 1))
+    stages = StageBuilder(adapter).run(handles)
+    table = [_stage_rows(stage, adapter) for stage in stages]
     return {"adapter": adapter.name, "command": "build", "stages": table}
 
 
@@ -327,8 +325,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     # stage totals at depth have mantissas beyond the default str limit
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)
+    # (3.11 and later): lift it for this call only, whatever its exit
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return _run(argv)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _run(argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _run(argv) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

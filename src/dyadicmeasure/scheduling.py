@@ -30,7 +30,7 @@ from functools import wraps
 from itertools import islice
 
 from .adapters import BasisHandle, DEFAULT_SCAN_CAP, SpaceAdapter, diagonal_walk
-from .errors import ScanExhausted, StageTooEarly
+from .errors import ConfigError, ScanExhausted, StageTooEarly
 from .stages import RingElement, Stage, StageBuilder, StepRecord, decompose
 
 
@@ -132,13 +132,10 @@ class Trace:
         return builder.snapshot()
 
     def stages(self, start: int = 1, stop: int | None = None):
-        """Yield consecutive stages; meant for short traces."""
-        stop = len(self.stream) if stop is None else stop
-        builder = StageBuilder(self.adapter)
-        for position, h in enumerate(self.stream[:stop], start=1):
-            builder.insert(h)
-            if position >= start:
-                yield builder.snapshot()
+        """Stages start..stop, one at a time, replayed from the first
+        insertion by ``StageBuilder.run``; meant for short traces."""
+        run = StageBuilder(self.adapter).run(self.stream[:stop])
+        return islice(run, max(start - 1, 0), None)
 
 
 def _hole_sweep(
@@ -213,7 +210,12 @@ def build_schedule(
     collector until the build returns, and cyclic garbage that a
     third-party adapter makes during a build waits until then too.  A
     collector that was disabled before the call stays disabled.
+
+    Raises ConfigError for a depth or a scan cap below 1.
     """
+    for name, value in (("depth", depth), ("scan_cap", scan_cap)):
+        if value < 1:
+            raise ConfigError(f"{name} must be >= 1, got {value}")
     builder = StageBuilder(adapter)
     blocks: list[ScheduleBlock] = []
     stream: list[BasisHandle] = []

@@ -17,11 +17,13 @@ Mass bookkeeping follows the halving rules exactly:
 The geometry of each space sits behind the cell index its adapter class
 names as ``cell_index``: ``_LineCells`` or ``_CantorCells``.  An index owns
 the cell regions and ids: ``refine`` splits the cells a new set splits and
-carves the set outside the closure of everything inserted before,
-``locate_host`` finds hole hosts and ``decompose`` writes regions as whole
-cells.  ``StageBuilder`` keeps the masses over its index; ``snapshot``
-returns an immutable ``Stage``, which builds an index from its own cells
-when ``decompose`` first needs one.
+carves the set outside the closure of everything inserted before, in the
+one walk (``carve``) that also records the set's closure; ``locate_host``
+finds hole hosts and ``decompose`` writes regions as whole cells.
+``StageBuilder`` keeps the masses over its index; ``snapshot`` returns an
+immutable ``Stage``, which builds an index from its own cells when
+``decompose`` first needs one, and ``run`` inserts a sequence of handles,
+yielding the stage after each.
 """
 
 from __future__ import annotations
@@ -331,10 +333,12 @@ class _SpanIndex:
 class _CellIndex:
     """Cell regions by id, refined one inserted set at a time.
 
-    Subclasses file new cells (``add``, or a ``_spawn`` of their own), find
-    the cells a new set splits, refile each as its pieces inside and outside
-    the set (``_split``), carve the set (``new_region``) and absorb its
-    closure.  An index holds regions and ids only, never an adapter, so a
+    Subclasses file new cells (``add``, or a ``_spawn`` of their own) and
+    refine in three steps: find the cells a new set splits
+    (``split_cells``), refile each as its pieces inside and outside the set
+    (``_split``), and carve the set's fresh part outside the closures of
+    the sets inserted before, recording its own closure as they are walked
+    (``carve``).  An index holds regions and ids only, never an adapter, so a
     stage, a builder or a line stream that keeps one forms no reference
     cycle with its adapter and is freed by reference counting once dropped.
     """
@@ -352,10 +356,8 @@ class _CellIndex:
         splits = []
         for old in self.split_cells(region):
             splits.append((old, *self._split(old, region)))
-        fresh = self.new_region(region)
-        fresh_id = None if fresh.is_empty else self._spawn(fresh)
-        self.absorb(region)
-        return splits, fresh_id
+        fresh = self.carve(region)
+        return splits, None if fresh.is_empty else self._spawn(fresh)
 
     def _spawn(self, region) -> int:
         cid = self.next_id
@@ -380,8 +382,11 @@ class _LineCells(_CellIndex):
     or more parts also sit in a ``_SpanIndex``, built when ``split_cells``
     first needs it, so an index that only decomposes never builds one.  The
     closures of the inserted intervals are kept merged, as a sorted list of
-    closed intervals ``[lo_h, lo_e, lo, hi_h, hi_e, hi]``; an index built
-    from a stage's cells has none.
+    disjoint closed intervals ``[lo_h, lo_e, lo, hi_h, hi_e, hi]``, and
+    ``carve`` reads the gaps between those that meet a new interval and
+    merges them with its closure in the same walk.  An index built from a
+    stage's cells has none; a builder resumed from a stage carves the
+    stage's inserted intervals in order to rebuild them.
 
     Every comparison goes through the keys, which order exactly like the
     rationals.  A key of one float is not enough: the straddlers around 0
@@ -521,47 +526,31 @@ class _LineCells(_CellIndex):
             return entry[6]
         return None
 
-    def new_region(self, region: LineRegion) -> LineRegion:
-        """Region minus the closures, built by one walk over them."""
+    def carve(self, region: LineRegion) -> LineRegion:
+        """Region minus the closures, in the one walk that merges them with
+        [a, b] where they meet or touch it; only the first starts before a."""
         ka, kb = self._ends(region)
         closures = self._closures
+        first = idx = bisect_left(closures, ka)
+        if idx > 0 and closures[idx - 1][3:6] >= ka:
+            first = idx = idx - 1
         out = []
-        cursor = ka
-        idx = self._closure_scan_start(ka)
+        lo = cursor = ka
         while idx < len(closures):
             c = closures[idx]
-            if c[:3] >= kb:
+            if c[:3] > kb:
                 break
             if c[:3] > cursor:
                 out.append((cursor[2], c[2]))
+            elif c[:3] < lo:
+                lo = c[:3]
             if c[3:6] > cursor:
                 cursor = c[3:6]
             idx += 1
         if cursor < kb:
             out.append((cursor[2], kb[2]))
+        closures[first:idx] = [lo + max(cursor, kb)]
         return LineRegion(tuple(out))
-
-    def absorb(self, region: LineRegion) -> None:
-        ka, kb = self._ends(region)
-        closures = self._closures
-        first = idx = self._closure_scan_start(ka)
-        lo, hi = ka, kb
-        while idx < len(closures):
-            c = closures[idx]
-            if c[:3] > kb:
-                break
-            # touching closed intervals merge; only the first can start
-            # before a and only the last end after b
-            lo = min(lo, c[:3])
-            hi = max(hi, c[3:6])
-            idx += 1
-        closures[first:idx] = [lo + hi]
-
-    def _closure_scan_start(self, ka: list) -> int:
-        idx = bisect_left(self._closures, ka)
-        if idx > 0 and self._closures[idx - 1][3:6] >= ka:
-            idx -= 1
-        return idx
 
     def decompose(self, region: LineRegion, stage: Stage) -> RingElement:
         """Whole cells and boundary points making up region, by one keyed
@@ -717,11 +706,11 @@ class _CantorCells(_CellIndex):
             self._spawn(cantor_minus(cell, region)),
         )
 
-    def new_region(self, region: CantorRegion) -> CantorRegion:
-        return cantor_minus(region, self._covered)
-
-    def absorb(self, region: CantorRegion) -> None:
+    def carve(self, region: CantorRegion) -> CantorRegion:
+        """Region minus the inserted cylinders, which then take it in."""
+        fresh = cantor_minus(region, self._covered)
         self._covered = cantor_union(self._covered, region)
+        return fresh
 
     def decompose(self, region: CantorRegion, stage: Stage) -> RingElement:
         cells_in = {
@@ -764,7 +753,7 @@ class StageBuilder:
         b.total = stage.total_mass
         b._index = _cell_index(b.adapter, b.cells)
         for h in stage.inserted:
-            b._index.absorb(h.region)
+            b._index.carve(h.region)
         return b
 
     @property
@@ -798,6 +787,12 @@ class StageBuilder:
         self.records.append(
             StepRecord(k, handle.index, grant, len(splits), self.total)
         )
+
+    def run(self, handles):
+        """Insert each handle in turn, yielding the snapshot after each."""
+        for handle in handles:
+            self.insert(handle)
+            yield self.snapshot()
 
     def snapshot(self) -> Stage:
         audit = dyadic_sum(c.mass for c in self.cells.values())

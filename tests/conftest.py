@@ -9,9 +9,10 @@ import pytest
 def default_str_digit_limit():
     """Put the interpreter's default int-to-str digit limit in force.
 
-    The CLI lifts the limit for the whole process, so a test that ran it
-    earlier would hide a conversion that raises under the default.  Yields
-    whether the interpreter has such a limit at all (3.11 and later).
+    The interpreter may have started with another limit (set by
+    ``PYTHONINTMAXSTRDIGITS`` or ``-X int_max_str_digits``), which would
+    hide a conversion that raises under the default.  Yields whether the
+    interpreter has such a limit at all (3.11 and later).
     """
     if not hasattr(sys, "set_int_max_str_digits"):
         yield False

@@ -1,6 +1,7 @@
 """Command line front end: payload shapes, determinism, exit codes."""
 
 import json
+import sys
 import time
 
 import pytest
@@ -297,6 +298,34 @@ def test_bad_adapter_choice(capsys):
     with pytest.raises(SystemExit) as err:
         cli.main(["build", "--adapter", "bogus"])
     assert err.value.code == 2
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"),
+    reason="no int-to-str digit limit before Python 3.11",
+)
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["build", "--stages", "2"], 0),
+        (["build", "--stages", "0"], 2),
+        (["verify", "--adapter", "cantor", "--depth", "2"], 3),
+    ],
+)
+def test_main_leaves_the_digit_limit_as_it_found_it(
+    capsys, tmp_path, monkeypatch, argv, code
+):
+    def explode(stage, sample_count=1000, seed=0):
+        raise AdditivityViolation("boom")
+
+    monkeypatch.setattr(cli, "check_additivity", explode)
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(5000)
+    try:
+        assert run(capsys, *argv, "--out", str(tmp_path / "o"))[0] == code
+        assert sys.get_int_max_str_digits() == 5000
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 def test_violation_writes_artifact(capsys, tmp_path, monkeypatch):

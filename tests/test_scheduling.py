@@ -7,7 +7,7 @@ import pytest
 
 from dyadicmeasure.adapters import RationalLine, diagonal_walk, make_adapter
 from dyadicmeasure.dyadic import DyadicMass
-from dyadicmeasure.errors import ScanExhausted, StageTooEarly
+from dyadicmeasure.errors import ConfigError, ScanExhausted, StageTooEarly
 from dyadicmeasure.masses import kappa
 from dyadicmeasure.scheduling import build_schedule, cover_union
 
@@ -120,6 +120,19 @@ def test_a_failed_build_restores_the_collector(enabled):
         assert gc.isenabled() is enabled
     finally:
         (gc.enable if was_enabled else gc.disable)()
+
+
+@pytest.mark.parametrize("name", ["rational-line", "cantor"])
+@pytest.mark.parametrize("depth", [0, -1, -3])
+def test_a_depth_below_one_is_a_config_error(name, depth):
+    with pytest.raises(ConfigError, match=f"depth must be >= 1, got {depth}"):
+        build_schedule(make_adapter(name), depth)
+
+
+@pytest.mark.parametrize("name", ["rational-line", "cantor"])
+def test_a_scan_cap_below_one_is_a_config_error(name):
+    with pytest.raises(ConfigError, match="scan_cap must be >= 1, got 0"):
+        build_schedule(make_adapter(name), 2, scan_cap=0)
 
 
 def test_line_depth2_permutation(line_d2):

@@ -167,6 +167,48 @@ def test_builder_continues_from_snapshot(t1):
         resumed.insert(adapter.enumerate(3))
 
 
+@pytest.mark.parametrize(
+    "name, first, last, fresh",
+    [
+        (
+            "rational-line",
+            [interval(0, 1), interval(2, 3), interval(5, 6)],
+            interval(-1, 7),
+            line_region([(-1, 0), (1, 2), (3, 5), (6, 7)]),
+        ),
+        (
+            "cantor",
+            [cantor_region(("00",)), cantor_region(("11",))],
+            cantor_region(("",)),
+            cantor_region(("01", "10")),
+        ),
+    ],
+)
+def test_resumed_builder_carves_across_disjoint_closures(
+    name, first, last, fresh
+):
+    """A builder resumed from a stage whose inserted sets have disjoint
+    closures grants the same fresh part, and ends with the same cells, as
+    the builder that went on."""
+    handles = [BasisHandle(k, r) for k, r in enumerate([*first, last], 1)]
+    went_on = StageBuilder(make_adapter(name))
+    *_, stage = went_on.run(handles[:-1])
+    resumed = StageBuilder.from_stage(stage)
+    ends = [next(b.run(handles[-1:])) for b in (went_on, resumed)]
+    k = len(handles)
+    grants = [
+        c.region
+        for c in ends[1].cells.values()
+        if c.kind == "new_region" and c.birth_stage == k
+    ]
+    assert grants == [fresh]
+    continued, replayed = (
+        {c.cell_id: (c.region, c.mass, c.kind) for c in end.cells.values()}
+        for end in ends
+    )
+    assert replayed == continued
+
+
 def test_deep_mass_audit_failure_is_an_invariant_violation(
     default_str_digit_limit,
 ):
