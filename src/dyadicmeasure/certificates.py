@@ -267,6 +267,18 @@ def fragmentation_level(epsilon: DyadicMass) -> int:
     return m
 
 
+def check_partition_depth(epsilon: DyadicMass, depth: int) -> int:
+    """Fragmentation level of epsilon; InsufficientDepth if depth is below it."""
+    m = fragmentation_level(epsilon)
+    if depth < m:
+        raise InsufficientDepth(
+            f"epsilon {epsilon} needs fragmentation level m={m}, but the "
+            f"schedule is built only to depth {depth}",
+            required_m=m,
+        )
+    return m
+
+
 # -- additivity ------------------------------------------------------------------
 
 
@@ -329,7 +341,8 @@ def check_additivity(
             raise AdditivityViolation(
                 f"kappa not additive at stage {stage.index}, seed {seed}, "
                 f"round {round_no}: cells {sorted(d1.open_cells)} + "
-                f"{sorted(d2.open_cells)} give {v1} + {v2} != {vu}"
+                f"{sorted(d2.open_cells)} give {v1} + {v2} != {vu}",
+                stage=stage.index,
             )
         pairs += 1
         # subadditivity: cover a random element by overlapping pieces
@@ -351,7 +364,8 @@ def check_additivity(
             raise AdditivityViolation(
                 f"kappa not subadditive at stage {stage.index}, seed {seed}, "
                 f"round {round_no}: element {sorted(target)} has mass {vt}, "
-                f"cover pieces sum to {vs}"
+                f"cover pieces sum to {vs}",
+                stage=stage.index,
             )
         covers += 1
     return AdditivityReport(
@@ -514,15 +528,8 @@ def build_partition(
     """
     if epsilon.is_zero:
         raise ConfigError("epsilon must be positive")
-    m = fragmentation_level(epsilon)
-    try:
-        block = schedule.block(1, m)
-    except StageTooEarly:
-        raise InsufficientDepth(
-            f"epsilon {epsilon} needs fragmentation level m={m}, but the "
-            f"schedule is built only to depth {schedule.depth}",
-            required_m=m,
-        ) from None
+    m = check_partition_depth(epsilon, schedule.depth)
+    block = schedule.block(1, m)
     max_piece = certify_max_decay(schedule, trace, m)
     stage = trace.stage_at(block.g)
     certificates = tuple(
@@ -550,7 +557,8 @@ def build_partition(
         if cell.mass > epsilon:
             raise DecayViolation(
                 f"cell {cid} of stage {stage.index} has mass {cell.mass} "
-                f"> epsilon {epsilon}"
+                f"> epsilon {epsilon}",
+                stage=stage.index, block=(1, m),
             )
         pieces.append(
             PartitionPiece(
@@ -695,16 +703,18 @@ def check_positivity(adapter: SpaceAdapter, count: int = 50) -> PositivityReport
         raise ConfigError(f"count must be >= 1, got {count}")
     handles = (adapter.enumerate(k) for k in range(1, count + 1))
     least: DyadicMass | None = None
-    for index, stage in enumerate(StageBuilder(adapter).run(handles), 1):
+    for stage in StageBuilder(adapter).run(handles):
         value = kappa(stage, decompose(stage.inserted[-1].region, stage))
         if value.is_zero:
             raise VerificationViolation(
-                f"basis set {index} of {adapter.name} evaluated to zero "
-                f"at its insertion stage"
+                f"basis set {stage.index} of {adapter.name} evaluated to zero "
+                f"at its insertion stage",
+                stage=stage.index,
             )
         if any(cell.mass.is_zero for cell in stage.cells.values()):
             raise VerificationViolation(
-                f"a zero-mass cell appeared at stage {index} of {adapter.name}"
+                f"a zero-mass cell appeared at stage {stage.index} of {adapter.name}",
+                stage=stage.index,
             )
         if least is None or value < least:
             least = value

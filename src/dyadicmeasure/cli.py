@@ -25,6 +25,7 @@ from .certificates import (
     check_additivity,
     check_conservation,
     check_consistency,
+    check_partition_depth,
     check_positivity,
     fragmentation_level,
     to_json,
@@ -142,7 +143,7 @@ def _cmd_verify(args: argparse.Namespace) -> dict:
         check_conservation(trace),
         check_additivity(sampled, 1000, seed=args.seed),
         check_consistency(
-            list(trace.stages(1, min(8, len(trace)))), 50, seed=args.seed
+            list(trace.stages(min(8, len(trace)))), 50, seed=args.seed
         ),
         check_positivity(adapter, 50),
     ]
@@ -183,6 +184,7 @@ def _cmd_partition(args: argparse.Namespace) -> dict:
                 f"practical depth {limit} of the {adapter.name} adapter "
                 f'(README "Depth guidance"); pass --depth to build anyway'
             )
+    check_partition_depth(epsilon, depth)
     schedule, trace = build_schedule(adapter, depth, args.scan_cap)
     certificate = build_partition(schedule, trace, epsilon)
     return {
@@ -194,8 +196,6 @@ def _cmd_partition(args: argparse.Namespace) -> dict:
 
 
 def _to_csv(payload: dict) -> str:
-    if payload.get("command") != "build":
-        raise ConfigError("csv export exists for the build stage table only")
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["stage", "cell", "signature", "region", "mantissa", "scale"])
@@ -259,20 +259,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
         help="file with one region literal per line, injected ahead of the "
         "canonical enumeration",
     )
-    sub.add_argument(
-        "--scan-cap",
-        type=int,
-        default=DEFAULT_SCAN_CAP,
-        help="largest basis index a hole or cover scan may inspect",
-    )
-    sub.add_argument("--seed", type=int, default=0, help="sampling seed")
     sub.add_argument("--out", default=None, help="output path (default stdout)")
-    sub.add_argument(
-        "--format",
-        choices=("json", "csv"),
-        default="json",
-        help="output format; csv is available for the build stage table",
-    )
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -285,6 +272,9 @@ def _build_parser() -> argparse.ArgumentParser:
     build = subs.add_parser("build", help="insert basis sets and print stages")
     build.add_argument(
         "--stages", type=int, default=3, help="number of insertions"
+    )
+    build.add_argument(
+        "--format", choices=("json", "csv"), default="json", help="output format"
     )
     _add_common(build)
     build.set_defaults(handler=_cmd_build)
@@ -302,6 +292,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument(
         "--depth", type=int, default=3, help="number of diagonals"
     )
+    verify.add_argument("--seed", type=int, default=0, help="sampling seed")
     _add_common(verify)
     verify.set_defaults(handler=_cmd_verify)
 
@@ -320,6 +311,11 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(partition)
     partition.set_defaults(handler=_cmd_partition)
 
+    for sub in (schedule, verify, partition):  # the commands that scan
+        sub.add_argument(
+            "--scan-cap", type=int, default=DEFAULT_SCAN_CAP,
+            help="largest basis index a hole or cover scan may inspect",
+        )
     return parser
 
 
@@ -342,7 +338,7 @@ def _run(argv) -> int:
     try:
         _check_counts(args)
         payload = args.handler(args)
-        if args.format == "csv":
+        if getattr(args, "format", "json") == "csv":
             text = _to_csv(payload)
         else:
             text = json.dumps(payload, indent=2, sort_keys=True) + "\n"

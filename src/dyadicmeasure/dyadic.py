@@ -23,9 +23,10 @@ class DyadicMass:
             raise InvariantViolation(
                 f"dyadic components must be nonnegative, got {mantissa}/2^{scale}"
             )
-        while mantissa and mantissa % 2 == 0 and scale > 0:
-            mantissa //= 2
-            scale -= 1
+        if mantissa and not mantissa & 1:
+            shift = min(scale, (mantissa & -mantissa).bit_length() - 1)
+            mantissa >>= shift
+            scale -= shift
         if mantissa == 0:
             scale = 0
         if mantissa > (1 << scale):

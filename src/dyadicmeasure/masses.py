@@ -60,13 +60,15 @@ def kappa_lifted(trace: Iterable[Stage], d: RingElement) -> DyadicMass:
         for point in d.boundary_points:
             if point not in stage.boundary_points:
                 raise ConsistencyViolation(
-                    f"boundary point {point} missing at stage {stage.index}"
+                    f"boundary point {point} missing at stage {stage.index}",
+                    stage=stage.index,
                 )
         again = kappa(stage, lifted)
         if again != value:
             raise ConsistencyViolation(
                 f"mass of {d!r} moved from {value} to {again} at stage "
-                f"{stage.index}"
+                f"{stage.index}",
+                stage=stage.index,
             )
     return value
 

@@ -25,7 +25,7 @@ stream no later than its first cover block).
 from __future__ import annotations
 
 import gc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import wraps
 from itertools import islice
 
@@ -39,8 +39,8 @@ class ScheduleBlock:
     """One block R(i, j): selected families and its contiguous index range.
 
     ``cover``, ``holes`` and ``remainder`` are original basis indices in
-    ascending order; ``hole_hosts`` pairs each hole index with the id of
-    the cell it was drilled into; ``g`` is the block's range bound.
+    ascending order; ``g`` is the block's range bound, and
+    ``cover_last_position`` the stream position of its last cover set.
     """
 
     i: int
@@ -50,7 +50,6 @@ class ScheduleBlock:
     remainder: tuple[int, ...]
     g: int
     cover_last_position: int
-    hole_hosts: tuple[tuple[int, int], ...] = field(default=(), repr=False)
 
 
 @dataclass(frozen=True)
@@ -59,7 +58,6 @@ class Schedule:
 
     adapter: SpaceAdapter
     depth: int
-    scan_cap: int
     blocks: tuple[ScheduleBlock, ...]
     stream: tuple[BasisHandle, ...]
 
@@ -131,11 +129,10 @@ class Trace:
             builder.insert(h)
         return builder.snapshot()
 
-    def stages(self, start: int = 1, stop: int | None = None):
-        """Stages start..stop, one at a time, replayed from the first
+    def stages(self, stop: int | None = None):
+        """Stages 1..stop, or all, one at a time, replayed from the first
         insertion by ``StageBuilder.run``; meant for short traces."""
-        run = StageBuilder(self.adapter).run(self.stream[:stop])
-        return islice(run, max(start - 1, 0), None)
+        yield from StageBuilder(self.adapter).run(self.stream[:stop])
 
 
 def _hole_sweep(
@@ -143,8 +140,8 @@ def _hole_sweep(
     builder: StageBuilder,
     min_index: int,
     scan_cap: int,
-) -> tuple[tuple[BasisHandle, ...], tuple[tuple[int, int], ...]]:
-    """One hole per current cell, scanning indices once, ascending.
+) -> list[BasisHandle]:
+    """One hole per current cell, in the ascending order of one index scan.
 
     A candidate's closure fits strictly inside at most one cell because
     cells are disjoint, so assigning each admissible candidate to its host
@@ -152,7 +149,7 @@ def _hole_sweep(
     every cell, the same family a cell-by-cell rescan would pick.
     """
     pending = set(builder.cells)
-    found: dict[int, BasisHandle] = {}
+    found: list[BasisHandle] = []
     k = min_index
     while pending:
         if k >= min_index + scan_cap:
@@ -162,13 +159,10 @@ def _hole_sweep(
         h = adapter.enumerate(k)
         host = builder.locate_host(h.region)
         if host is not None and host in pending:
-            found[host] = h
+            found.append(h)
             pending.discard(host)
         k += 1
-    by_index = sorted(found.items(), key=lambda kv: kv[1].index)
-    pairs = tuple((handle.index, host) for host, handle in by_index)
-    handles = tuple(handle for _, handle in by_index)
-    return handles, pairs
+    return found
 
 
 def _collector_paused(fn):
@@ -223,12 +217,9 @@ def build_schedule(
     prev_cover_region: dict[int, object] = {}
     frontier = 0
     for i, j in islice(diagonal_walk(), depth * (depth + 1) // 2):
-        holes: tuple[BasisHandle, ...] = ()
-        hole_hosts: tuple[tuple[int, int], ...] = ()
+        holes: list[BasisHandle] = []
         if j >= 2:
-            holes, hole_hosts = _hole_sweep(
-                adapter, builder, frontier + 1, scan_cap
-            )
+            holes = _hole_sweep(adapter, builder, frontier + 1, scan_cap)
         hole_set = {h.index for h in holes}
         points = adapter.boundary(adapter.enumerate(i))
         constraint = None
@@ -263,7 +254,6 @@ def build_schedule(
                 remainder=remainder,
                 g=g,
                 cover_last_position=cover_last,
-                hole_hosts=hole_hosts,
             )
         )
         prev_cover_region[i] = adapter.union_all(h.region for h in cover)
@@ -273,7 +263,6 @@ def build_schedule(
     schedule = Schedule(
         adapter=adapter,
         depth=depth,
-        scan_cap=scan_cap,
         blocks=tuple(blocks),
         stream=tuple(stream),
     )

@@ -142,7 +142,7 @@ def test_criterion_06_consistency(line_d5, cantor_d5):
     _, _, cantor_trace = cantor_d5
     for trace in (line_trace, cantor_trace):
         report = check_consistency(
-            list(trace.stages(1, 12)), per_stage=200, seed=0
+            list(trace.stages(12)), per_stage=200, seed=0
         )
         assert report.elements_checked == 12 * 200
     _report(6, "2400 sampled elements per adapter keep kappa at all later "
@@ -151,7 +151,7 @@ def test_criterion_06_consistency(line_d5, cantor_d5):
 
 def _audit_split_window(trace, stop):
     prev = None
-    for stage in trace.stages(1, stop):
+    for stage in trace.stages(stop):
         if prev is not None:
             by_parent = {}
             for cell in stage.cells.values():
@@ -230,7 +230,7 @@ def test_criterion_10_cantor_degenerate(cantor_d5):
     assert all(p.mass.as_fraction() <= F(1, 8) for p in cert.pieces)
     assert check_additivity(trace.stage_at(12), 1000, seed=0).covers == 1000
     assert check_consistency(
-        list(trace.stages(1, 12)), per_stage=200, seed=0
+        list(trace.stages(12)), per_stage=200, seed=0
     ).elements_checked == 2400
     assert check_conservation(trace).final_total == DyadicMass.pow2(1)
     assert not check_positivity(make_adapter("cantor"), 50).min_kappa.is_zero

@@ -110,6 +110,16 @@ def test_index_of_inverts_enumerate(line, cantor, line_t1):
     )
 
 
+def test_cantor_index_of_with_an_injected_prefix():
+    # the injected words also occur in the canonical order, so index_of
+    # must skip them there (the default SpaceAdapter._canonical_at_most)
+    words = [cantor_region([w]) for w in ("1", "01", "0110")]
+    cantor = make_adapter("cantor", injected=words)
+    assert all(
+        cantor.index_of(cantor.enumerate(k).region) == k for k in range(1, 301)
+    )
+
+
 def test_index_of_known_positions(line):
     assert line.index_of(interval(0, 1)) == 1
     assert line.index_of(interval(1, 2)) == 2

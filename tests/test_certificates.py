@@ -1,5 +1,6 @@
 """Certified bounds: boundary chains, decay, additivity, partitions."""
 
+from dataclasses import replace
 from fractions import Fraction as F
 from types import SimpleNamespace
 
@@ -18,7 +19,7 @@ from dyadicmeasure.certificates import (
     check_positivity,
     to_json,
 )
-from dyadicmeasure.dyadic import DyadicMass
+from dyadicmeasure.dyadic import ZERO, DyadicMass
 from dyadicmeasure.errors import (
     AdditivityViolation,
     ChainViolation,
@@ -29,6 +30,7 @@ from dyadicmeasure.errors import (
     InvariantViolation,
     MembershipViolation,
     StageTooEarly,
+    VerificationViolation,
 )
 from dyadicmeasure.regions import cantor_region, interval
 from dyadicmeasure.scheduling import build_schedule
@@ -237,7 +239,7 @@ def test_conservation_rejects_ledger_drift(line_d3):
 
 def test_consistency_counts(line_d3):
     _, _, trace = line_d3
-    report = check_consistency(list(trace.stages(1, 8)), per_stage=20, seed=0)
+    report = check_consistency(list(trace.stages(8)), per_stage=20, seed=0)
     assert report.stages == 8
     assert report.elements_checked == 160
 
@@ -284,6 +286,18 @@ def test_partition_depth_exhausted(line_d3):
     with pytest.raises(InsufficientDepth) as err:
         build_partition(schedule, trace, DyadicMass.pow2(3))
     assert err.value.required_m == 4
+
+
+def test_partition_cell_above_epsilon_names_stage_and_block(
+    line_d3, monkeypatch
+):
+    # read at level 1, stage g(1, 1) = 8 passes the decay bound 1 but has
+    # a cell of mass 1/4, above epsilon 1/16
+    _, schedule, trace = line_d3
+    monkeypatch.setattr(certs, "fragmentation_level", lambda epsilon: 1)
+    with pytest.raises(DecayViolation, match="> epsilon") as err:
+        build_partition(schedule, trace, DyadicMass.pow2(4))
+    assert (err.value.stage, err.value.block) == (8, (1, 1))
 
 
 def test_partition_epsilon_must_be_positive(line_d3):
@@ -399,3 +413,22 @@ def test_positivity_minima():
 def test_positivity_rejects_bad_count():
     with pytest.raises(ConfigError):
         check_positivity(make_adapter("cantor"), 0)
+
+
+def test_positivity_flags_a_zero_mass_cell(monkeypatch):
+    class ZeroingBuilder(StageBuilder):
+        """Snapshots whose cell outside the newest set weighs zero from
+        stage 3 on."""
+
+        def snapshot(self):
+            stage = super().snapshot()
+            if stage.index >= 3:
+                inside = decompose(stage.inserted[-1].region, stage).open_cells
+                cid = min(set(stage.cells) - inside)
+                stage.cells[cid] = replace(stage.cells[cid], mass=ZERO)
+            return stage
+
+    monkeypatch.setattr(certs, "StageBuilder", ZeroingBuilder)
+    with pytest.raises(VerificationViolation, match="zero-mass cell") as err:
+        check_positivity(make_adapter("cantor"), 5)
+    assert err.value.stage == 3

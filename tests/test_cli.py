@@ -30,6 +30,16 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+@pytest.fixture
+def no_build(monkeypatch):
+    """Fail the test if the command reaches cli.build_schedule."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a schedule")
+
+    monkeypatch.setattr(cli, "build_schedule", refuse)
+
+
 # -- build --------------------------------------------------------------------
 
 
@@ -119,9 +129,10 @@ def test_schedule_depth2(capsys):
 
 
 def test_schedule_rejects_csv(capsys):
-    code, _, err = run(capsys, "schedule", "--depth", "2", "--format", "csv")
-    assert code == 2
-    assert "csv export exists for the build stage table only" in err
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["schedule", "--depth", "2", "--format", "csv"])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --format csv" in capsys.readouterr().err
 
 
 # -- verify -------------------------------------------------------------------
@@ -231,6 +242,24 @@ def test_partition_past_practical_depth_fails_fast(capsys, argv, message):
     assert (code, out, err) == (2, "", message)
 
 
+@pytest.mark.parametrize(
+    "argv, m",
+    [
+        (["partition", "1/64", "--depth", "5"], 7),
+        (["partition", "1/128", "--adapter", "cantor", "--depth", "6"], 8),
+    ],
+    ids=["line-1/64-d5", "cantor-1/128-d6"],
+)
+def test_partition_explicit_depth_too_shallow_fails_before_building(
+    capsys, no_build, argv, m
+):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert f"needs fragmentation level m={m}" in err
+
+
 def test_partition_explicit_depth_skips_the_practical_limit(capsys):
     # the schedule is built at depth 3 and is too shallow for m=7
     code, _, err = run(
@@ -267,6 +296,34 @@ def test_depth_below_one_is_a_config_error(capsys, command, flag, value):
     assert code == 2
     assert out == ""
     assert f"config error: {flag} must be >= 1, got {value}" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--depth", "5", "--format", "csv"],
+        ["partition", "1/8", "--format", "csv"],
+        ["build", "--seed", "1"],
+        ["schedule", "--seed", "1"],
+        ["partition", "1/8", "--seed", "1"],
+        ["build", "--scan-cap", "9"],
+    ],
+    ids=[
+        "verify-format",
+        "partition-format",
+        "build-seed",
+        "schedule-seed",
+        "partition-seed",
+        "build-scan-cap",
+    ],
+)
+def test_a_command_refuses_a_flag_it_does_not_read(capsys, no_build, argv):
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(argv)
+    assert time.perf_counter() - start < 1.0
+    assert exit_.value.code == 2
+    assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
 
 
 # -- failure plumbing ---------------------------------------------------------
@@ -375,8 +432,7 @@ def test_partition_violation_artifact_names_epsilon(capsys, tmp_path, monkeypatc
     monkeypatch.setattr(cli, "build_partition", explode)
     target = tmp_path / "violation.json"
     code, _, _ = run(
-        capsys, "partition", "1/4", "--adapter", "cantor", "--seed", "5",
-        "--out", str(target),
+        capsys, "partition", "1/4", "--adapter", "cantor", "--out", str(target),
     )
     assert code == 3
     # no --depth given: null stands for the depth epsilon requires
@@ -385,7 +441,6 @@ def test_partition_violation_artifact_names_epsilon(capsys, tmp_path, monkeypatc
         "message": "boom",
         "command": "partition",
         "adapter": "cantor",
-        "seed": 5,
         "depth": None,
         "epsilon": "1/4",
     }
@@ -407,6 +462,23 @@ def test_decay_violation_artifact_names_stage_and_block(
     assert artifact["error"] == "DecayViolation"
     assert artifact["block"] == [1, 2]
     assert artifact["stage"] == schedule.block(1, 2).g
+
+
+def test_positivity_violation_artifact_names_stage(
+    capsys, tmp_path, monkeypatch
+):
+    # every other certificate still passes when kappa reads zero
+    monkeypatch.setattr(certificates, "kappa", lambda stage, d: DyadicMass(0, 0))
+    target = tmp_path / "violation.json"
+    code, _, err = run(
+        capsys, "verify", "--adapter", "cantor", "--depth", "2",
+        "--out", str(target),
+    )
+    assert code == 3
+    assert "evaluated to zero" in err
+    artifact = json.loads(target.read_text(encoding="utf-8"))
+    assert artifact["error"] == "VerificationViolation"
+    assert artifact["stage"] == 1
 
 
 def test_violation_default_artifact_path(capsys, tmp_path, monkeypatch):

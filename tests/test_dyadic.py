@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import time
 from fractions import Fraction
 from functools import reduce
 from operator import add
@@ -18,6 +19,14 @@ def test_canonical_form_strips_even_mantissas():
     assert DyadicMass(4, 3) == DyadicMass(1, 1)
     assert DyadicMass(6, 4) == DyadicMass(3, 3)
     m = DyadicMass(4, 3)
+    assert (m.mantissa, m.scale) == (1, 1)
+
+
+def test_long_trailing_zero_runs_normalise_in_one_shift():
+    # stripping one bit at a time takes about 11 s here
+    start = time.perf_counter()
+    m = DyadicMass(1 << 200_000, 200_001)
+    assert time.perf_counter() - start < 1.0
     assert (m.mantissa, m.scale) == (1, 1)
 
 

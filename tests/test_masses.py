@@ -6,7 +6,13 @@ import pytest
 
 from dyadicmeasure.adapters import make_adapter
 from dyadicmeasure.dyadic import DyadicMass
-from dyadicmeasure.errors import EmptyStage, StageMismatch, UnknownCell
+import dyadicmeasure.masses as masses
+from dyadicmeasure.errors import (
+    ConsistencyViolation,
+    EmptyStage,
+    StageMismatch,
+    UnknownCell,
+)
 from dyadicmeasure.masses import kappa, kappa_lifted, max_cell_mass, mu, tail_budget
 from dyadicmeasure.regions import interval
 from dyadicmeasure.stages import RingElement, Stage, StageBuilder, decompose
@@ -75,6 +81,20 @@ def test_kappa_lifted_needs_home_stage(t1):
     d = decompose(interval(0, 2), stages[1])
     with pytest.raises(StageMismatch):
         kappa_lifted([stages[2]], d)
+
+
+def test_kappa_lifted_violations_name_their_stage(t1, monkeypatch):
+    _, stages = t1
+    d = decompose(interval(0, 2), stages[1])
+    # 7 is no boundary point of any stage
+    stray = RingElement(d.stage_index, d.open_cells, frozenset({F(7)}))
+    with pytest.raises(ConsistencyViolation, match="missing") as err:
+        kappa_lifted(stages[1:], stray)
+    assert err.value.stage == 3
+    monkeypatch.setattr(masses, "kappa", lambda s, e: DyadicMass.pow2(s.index))
+    with pytest.raises(ConsistencyViolation, match="moved") as err:
+        kappa_lifted(stages[1:], d)
+    assert err.value.stage == 3
 
 
 def test_max_cell_mass(t1):
