@@ -200,6 +200,8 @@ def certify_boundary(
         raise StageTooEarly(f"schedule has no blocks for row {i}")
     if j_max is None:
         j_max = built[-1]
+    elif j_max < 1:
+        raise ConfigError(f"j_max must be >= 1, got {j_max}")
     if stage is None:
         stage = trace.final
     adapter = schedule.adapter
@@ -260,11 +262,14 @@ def certify_max_decay(schedule: Schedule, trace: Trace, m: int) -> DyadicMass:
 
 
 def fragmentation_level(epsilon: DyadicMass) -> int:
-    """Least m with 2**(1-m) <= epsilon, the level whose cells fit epsilon."""
-    m = 1
-    while DyadicMass.pow2(m - 1) > epsilon:
-        m += 1
-    return m
+    """Least m with 2**(1-m) <= epsilon, the level whose cells fit epsilon.
+
+    For epsilon = k / 2**s that is 2**(s+1-m) <= k, which holds exactly
+    when s + 1 - m is below the bit length of k.
+    """
+    if epsilon.is_zero:
+        raise ConfigError("epsilon must be positive")
+    return max(1, epsilon.scale + 2 - epsilon.mantissa.bit_length())
 
 
 def check_partition_depth(epsilon: DyadicMass, depth: int) -> int:
@@ -304,6 +309,8 @@ def check_additivity(
     extra cells.  Fractions are used for the comparisons because a
     violating sum could exceed one.
     """
+    if sample_count < 1:
+        raise ConfigError(f"sample_count must be >= 1, got {sample_count}")
     if len(stage.cells) < 2:
         raise EmptyStage(
             f"additivity sampling needs >= 2 cells, stage {stage.index} "
@@ -456,6 +463,8 @@ def check_consistency(
     number.  Raises ConsistencyViolation (from kappa_lifted) when any
     sampled mass moves.
     """
+    if per_stage < 1:
+        raise ConfigError(f"per_stage must be >= 1, got {per_stage}")
     stages = sorted(stages, key=lambda s: s.index)
     rng = random.Random(seed)
     checked = 0
@@ -526,8 +535,6 @@ def build_partition(
     (1, m) block, or when the built rows' boundary bounds are still too
     coarse, naming the depth that would be needed next.
     """
-    if epsilon.is_zero:
-        raise ConfigError("epsilon must be positive")
     m = check_partition_depth(epsilon, schedule.depth)
     block = schedule.block(1, m)
     max_piece = certify_max_decay(schedule, trace, m)

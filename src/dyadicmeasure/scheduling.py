@@ -132,6 +132,10 @@ class Trace:
     def stages(self, stop: int | None = None):
         """Stages 1..stop, or all, one at a time, replayed from the first
         insertion by ``StageBuilder.run``; meant for short traces."""
+        if stop is not None and not 0 <= stop <= len(self.stream):
+            raise StageTooEarly(
+                f"trace has stages 1..{len(self.stream)}, asked for 1..{stop}"
+            )
         yield from StageBuilder(self.adapter).run(self.stream[:stop])
 
 

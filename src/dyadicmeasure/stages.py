@@ -34,8 +34,6 @@ from fractions import Fraction
 from operator import itemgetter, or_, sub
 from typing import TYPE_CHECKING
 
-from sortedcontainers import SortedList
-
 from .dyadic import DyadicMass, ZERO, dyadic_sum
 from .errors import (
     DuplicateInsertion,
@@ -402,7 +400,7 @@ class _LineCells(_CellIndex):
             cid: tuple(list(_line_entry(lo, hi, cid)) for lo, hi in region.parts)
             for cid, region in regions.items()
         }
-        self._parts = SortedList(
+        self._parts = sorted(
             entry for entries in self._entries.values() for entry in entries
         )
         self._spans: _SpanIndex | None = None  # cells with two or more parts
@@ -411,7 +409,8 @@ class _LineCells(_CellIndex):
 
     def _spawn(self, region: LineRegion) -> int:
         entries = [list(_line_entry(lo, hi, 0)) for lo, hi in region.parts]
-        self._parts.update(entries)
+        for entry in entries:
+            insort(self._parts, entry)
         return self._file(entries)
 
     def _file(self, entries: list[list]) -> int:
@@ -457,8 +456,8 @@ class _LineCells(_CellIndex):
         seen: set[int] = set()
         ka, kb = self._ends(region)
         parts = self._parts
-        start = parts.bisect_left(ka)
-        stop = parts.bisect_left(kb)
+        start = bisect_left(parts, ka)
+        stop = bisect_left(parts, kb)
         # parts are disjoint, so at most one part contains a
         if start > 0 and parts[start - 1][3:6] > ka:
             seen.add(parts[start - 1][6])
@@ -497,7 +496,7 @@ class _LineCells(_CellIndex):
             # the span entry holds the keys the cuts are about to change
             self._spans.remove(_span_entry(entries))
         ka, kb = self._ends(region)
-        add = self._parts.add
+        parts = self._parts
         inside: list = []
         outside: list = []
         for entry in entries:
@@ -507,17 +506,17 @@ class _LineCells(_CellIndex):
             if entry[:3] < ka:
                 outside.append(entry)
                 entry[3:6], entry = ka, ka + entry[3:]
-                add(entry)
+                insort(parts, entry)
             inside.append(entry)
             if entry[3:6] > kb:
                 entry[3:6], tail = kb, kb + entry[3:]
-                add(tail)
+                insort(parts, tail)
                 outside.append(tail)
         return self._file(inside), self._file(outside)
 
     def locate_host(self, region: LineRegion) -> int | None:
         a, b = region.parts[0]
-        idx = self._parts.bisect_left([*line_key(a)])
+        idx = bisect_left(self._parts, [*line_key(a)])
         if idx == 0:
             return None
         # the part before the bisect starts strictly before a
@@ -566,7 +565,7 @@ class _LineCells(_CellIndex):
         for p, q in region.parts:
             kp, kq = [*line_key(p)], [*line_key(q)]
             # a part straddling p leaves the open gap after p uncovered
-            idx = parts.bisect_left(kp)
+            idx = bisect_left(parts, kp)
             cursor = kp
             while idx < len(parts):
                 entry = parts[idx]

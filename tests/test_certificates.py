@@ -17,6 +17,7 @@ from dyadicmeasure.certificates import (
     check_consistency,
     check_permutation_invariance,
     check_positivity,
+    fragmentation_level,
     to_json,
 )
 from dyadicmeasure.dyadic import ZERO, DyadicMass
@@ -244,6 +245,23 @@ def test_consistency_counts(line_d3):
     assert report.elements_checked == 160
 
 
+@pytest.mark.parametrize("count", [0, -5])
+@pytest.mark.parametrize("check", ["additivity", "consistency", "boundary"])
+def test_a_count_below_one_is_a_config_error(line_d3, check, count):
+    """A check asked for no samples, or a chain of no links, checks
+    nothing, so it is refused rather than reported as passed."""
+    _, schedule, trace = line_d3
+    run = {
+        "additivity": lambda: check_additivity(trace.stage_at(12), count),
+        "consistency": lambda: check_consistency(
+            list(trace.stages(3)), per_stage=count
+        ),
+        "boundary": lambda: certify_boundary(schedule, trace, 1, j_max=count),
+    }[check]
+    with pytest.raises(ConfigError, match=">= 1"):
+        run()
+
+
 # -- partitions ---------------------------------------------------------------
 
 
@@ -304,6 +322,21 @@ def test_partition_epsilon_must_be_positive(line_d3):
     _, schedule, trace = line_d3
     with pytest.raises(ConfigError):
         build_partition(schedule, trace, DyadicMass.zero())
+
+
+def test_fragmentation_level_matches_the_least_level():
+    for s in range(11):
+        for k in range(1, 2**s + 1):
+            epsilon = DyadicMass(k, s)
+            m = 1
+            while DyadicMass.pow2(m - 1) > epsilon:
+                m += 1
+            assert fragmentation_level(epsilon) == m, (k, s)
+
+
+def test_fragmentation_level_of_zero_is_a_config_error():
+    with pytest.raises(ConfigError, match="positive"):
+        fragmentation_level(ZERO)
 
 
 # -- permutation sensitivity --------------------------------------------------

@@ -15,6 +15,9 @@ only when an output is meant to change, e.g. ``dyadicmeasure schedule
 from __future__ import annotations
 
 import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -62,6 +65,26 @@ def test_schedule_depth4_matches_golden(tmp_path, adapter):
     assert code == 0
     golden = GOLDEN / f"schedule-{adapter}-d4.json"
     assert out.read_bytes() == golden.read_bytes()
+
+
+def test_schedule_runs_without_sortedcontainers():
+    """The package has no runtime dependency: with ``sortedcontainers``
+    blocked from import, a fresh interpreter still writes the golden
+    schedule byte for byte."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = (
+        "import sys\n"
+        "sys.modules['sortedcontainers'] = None\n"
+        "from dyadicmeasure import cli\n"
+        "sys.exit(cli.main(['schedule', '--depth', '4']))\n"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True
+    )
+    assert run.returncode == 0, run.stderr.decode()
+    golden = GOLDEN / "schedule-rational-line-d4.json"
+    assert run.stdout == golden.read_bytes()
 
 
 def test_cantor_schedule_depth5_digest(tmp_path):

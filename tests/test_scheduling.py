@@ -246,6 +246,18 @@ def test_stage_at_bounds(line_d2):
         trace.stage_at(27)
 
 
+def test_stages_stop_bounds(line_d2):
+    """A stop is a stage count: 0..len(trace), never a slice from the end."""
+    _, _, trace = line_d2
+    assert list(trace.stages(0)) == []
+    assert [s.index for s in trace.stages(len(trace))] == list(
+        range(1, len(trace) + 1)
+    )
+    for stop in (-1, len(trace) + 1):
+        with pytest.raises(StageTooEarly):
+            list(trace.stages(stop))
+
+
 def test_records_cover_every_position(line_d2):
     _, _, trace = line_d2
     assert [r.position for r in trace.records] == list(range(1, 27))

@@ -5,7 +5,6 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from sortedcontainers import SortedList
 
 from dyadicmeasure.adapters import BasisHandle, make_adapter
 from dyadicmeasure.dyadic import DyadicMass
@@ -34,6 +33,7 @@ from dyadicmeasure.stages import (
     _CantorCells,
     _CellIndex,
     _LineCells,
+    _line_entry,
     decompose,
     line_key,
     ring_difference,
@@ -649,7 +649,8 @@ def test_line_depth4_build_refines_what_it_reads(monkeypatch):
 
 def test_line_depth4_build_refines_parts_in_place(monkeypatch):
     """A split cuts the parts that straddle the new interval's ends at
-    those ends' keys, so it keys no endpoint and removes no part entry.
+    those ends' keys, so it keys no endpoint, and the part list ends with
+    one entry per part of each cell.
 
     A depth-4 line build keys the ends of each insertion and each hole,
     the holes' union and the class middles: 10,318 ``line_key`` calls,
@@ -674,26 +675,22 @@ def test_line_depth4_build_refines_parts_in_place(monkeypatch):
         finally:
             in_split = False
 
-    removals = 0
-
-    def removal(name):
-        original = getattr(SortedList, name)
-
-        def counting(self, *args):
-            nonlocal removals
-            removals += 1
-            return original(self, *args)
-
-        return counting
-
     monkeypatch.setattr("dyadicmeasure.stages.line_key", counting_key)
     monkeypatch.setattr("dyadicmeasure.adapters.line_key", counting_key)
     monkeypatch.setattr(_LineCells, "_split", counting_split)
-    for name in ("remove", "discard", "pop", "__delitem__"):
-        monkeypatch.setattr(SortedList, name, removal(name))
-    build_schedule(make_adapter("rational-line"), 4)
+    adapter = make_adapter("rational-line")
+    _, trace = build_schedule(adapter, 4)
     assert calls == {"all": 10_318, "split": 0}
-    assert removals == 0
+
+    builder = StageBuilder(adapter)
+    for handle in trace.stream:
+        builder.insert(handle)
+    expected = sorted(
+        list(_line_entry(lo, hi, cid))
+        for cid, cell in builder.cells.items()
+        for lo, hi in cell.region.parts
+    )
+    assert builder._index._parts == expected
 
 
 @pytest.mark.parametrize("sign", [1, -1])
