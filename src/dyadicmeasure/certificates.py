@@ -461,11 +461,13 @@ def check_consistency(
 
     Meant for short stage sequences; the work is quadratic in their
     number.  Raises ConsistencyViolation (from kappa_lifted) when any
-    sampled mass moves.
+    sampled mass moves, and ConfigError for no stages or a count below 1.
     """
     if per_stage < 1:
         raise ConfigError(f"per_stage must be >= 1, got {per_stage}")
     stages = sorted(stages, key=lambda s: s.index)
+    if not stages:
+        raise ConfigError("consistency needs at least one stage")
     rng = random.Random(seed)
     checked = 0
     for stage in stages:

@@ -45,9 +45,10 @@ VIOLATION_ARTIFACT = "dyadicmeasure-violation.json"
 
 def _make_adapter(args: argparse.Namespace):
     injected = []
-    if args.basis_file:
+    basis_file = getattr(args, "basis_file", None)
+    if basis_file:
         try:
-            with open(args.basis_file, "r", encoding="utf-8") as fh:
+            with open(basis_file, "r", encoding="utf-8") as fh:
                 lines = fh.readlines()
         except OSError as exc:
             raise ConfigError(f"cannot read basis file: {exc}") from exc
@@ -253,12 +254,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
         default="rational-line",
         help="which space to run on",
     )
-    sub.add_argument(
-        "--basis-file",
-        default=None,
-        help="file with one region literal per line, injected ahead of the "
-        "canonical enumeration",
-    )
     sub.add_argument("--out", default=None, help="output path (default stdout)")
 
 
@@ -275,6 +270,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     build.add_argument(
         "--format", choices=("json", "csv"), default="json", help="output format"
+    )
+    # only build reads it: the line stream refines around the seeds' ends,
+    # so a schedule over injected intervals with other ends can scan for
+    # minutes before it finds their covers
+    build.add_argument(
+        "--basis-file",
+        default=None,
+        help="file with one region literal per line, injected ahead of the "
+        "canonical enumeration",
     )
     _add_common(build)
     build.set_defaults(handler=_cmd_build)

@@ -84,7 +84,7 @@ class Trace:
     """Stage sequence of a schedule run.
 
     Full snapshots are kept at block boundaries; any other stage is rebuilt
-    on demand by replaying the stream from the nearest snapshot.  Step
+    on demand by replaying the stream from the first insertion.  Step
     records carry the exact per-insertion mass accounting for the whole
     run, so conservation can be audited without materializing every stage.
     """
@@ -120,12 +120,8 @@ class Trace:
         cached = self._snapshots.get(position)
         if cached is not None:
             return cached
-        base = max((p for p in self._snapshots if p < position), default=0)
-        if base == 0:
-            builder = StageBuilder(self.adapter)
-        else:
-            builder = StageBuilder.from_stage(self._snapshots[base])
-        for h in self.stream[base:position]:
+        builder = StageBuilder(self.adapter)
+        for h in self.stream[:position]:
             builder.insert(h)
         return builder.snapshot()
 

@@ -170,7 +170,9 @@ class Stage:
     def _cell_index(self):
         """The cell index of this stage, built on first use, never copied."""
         if self._index is None:
-            self._index = _cell_index(self.adapter, self.cells)
+            self._index = self.adapter.cell_index(
+                {cid: cell.region for cid, cell in self.cells.items()}
+            )
         return self._index
 
 
@@ -383,8 +385,7 @@ class _LineCells(_CellIndex):
     disjoint closed intervals ``[lo_h, lo_e, lo, hi_h, hi_e, hi]``, and
     ``carve`` reads the gaps between those that meet a new interval and
     merges them with its closure in the same walk.  An index built from a
-    stage's cells has none; a builder resumed from a stage carves the
-    stage's inserted intervals in order to rebuild them.
+    stage's cells has none, and only decomposes.
 
     Every comparison goes through the keys, which order exactly like the
     rationals.  A key of one float is not enough: the straddlers around 0
@@ -608,36 +609,36 @@ class _LineCells(_CellIndex):
 class _CantorCells(_CellIndex):
     """Cell index of Cantor space.
 
-    A dict takes every prefix of every cell to its cell.  Cells are
-    disjoint, so all their prefixes together form an antichain of keys: a
-    word is a key, or a proper prefix of keys (populated), or neither.  A
-    set holds the populated words.  Refinement only makes cells finer, so
-    each key a split drops is covered by the keys filed under it, and a
-    populated word stays populated: the set only grows, and filing a key
-    walks up only until it meets a word already in it.  Walking up from w,
-    the first key met holds w, and a populated word met first means no key
-    does; walking down from w through populated words reaches exactly the
-    keys under w.  The union of the inserted cylinders is kept as one
-    region; an index built from a stage's cells has it empty.
+    One dict takes every prefix of every cell to its cell id, and every
+    proper prefix of those keys (a populated word) to 0; ids start at 1.
+    Cells are disjoint, so all their prefixes together form an antichain of
+    keys: a word is a key, populated, or neither.  Refinement only makes
+    cells finer, so a split's pieces file keys at or under each key it
+    drops, which marks that key again, and a populated word stays
+    populated: filing a key walks up only until it meets a populated word.
+    Walking up from w, the first word in the dict decides: a key holds w,
+    and a populated word means no key does; walking down from w through
+    populated words reaches exactly the keys under w.  The union of the
+    inserted cylinders is kept as one region; an index built from a stage's
+    cells has it empty.
     """
 
     def __init__(self, regions: dict[int, CantorRegion]):
         super().__init__(regions)
         self._members: dict[str, int] = {}
-        self._populated: set[str] = set()
         for cid, region in regions.items():
             self.add(cid, region)
         self._covered = cantor_region(())
 
     def add(self, cid: int, region: CantorRegion) -> None:
-        populated = self._populated
+        members = self._members
         for p in region.prefixes:
-            self._members[p] = cid
+            members[p] = cid
             while p:
                 p = p[:-1]
-                if p in populated:
+                if members.get(p) == 0:
                     break
-                populated.add(p)
+                members[p] = 0
 
     def _holder(self, w: str) -> int | None:
         """The cell with a prefix of w (w itself included), if any.
@@ -646,14 +647,11 @@ class _CantorCells(_CellIndex):
         that key's cell.  A populated prefix of w lies above some key, so
         no shorter prefix of w is a key.
         """
-        members, populated = self._members, self._populated
+        members = self._members
         for k in range(len(w), -1, -1):
-            u = w[:k]
-            cid = members.get(u)
+            cid = members.get(w[:k])
             if cid is not None:
-                return cid
-            if u in populated:
-                return None
+                return cid or None
         return None
 
     def _under(self, w: str) -> list[str]:
@@ -662,9 +660,10 @@ class _CantorCells(_CellIndex):
         stack = [w]
         while stack:
             u = stack.pop()
-            if u in self._members:
+            cid = self._members.get(u)
+            if cid:
                 out.append(u)
-            elif u in self._populated:
+            elif cid == 0:
                 stack += (u + "1", u + "0")
         return out
 
@@ -696,10 +695,8 @@ class _CantorCells(_CellIndex):
 
     def _split(self, old: int, region: CantorRegion) -> tuple[int, int]:
         cell = self.regions.pop(old)
-        # the two pieces file keys under each dropped one, which therefore
-        # stays a key or becomes populated
-        for p in cell.prefixes:
-            del self._members[p]
+        # the two pieces file keys at or under each old key, so filing them
+        # re-marks it as a key of a piece or as populated
         return (
             self._spawn(cantor_meet(cell, region)),
             self._spawn(cantor_minus(cell, region)),
@@ -726,11 +723,6 @@ class _CantorCells(_CellIndex):
         return RingElement(stage.index, frozenset(cells_in), frozenset())
 
 
-def _cell_index(adapter: SpaceAdapter, cells: dict[int, Cell]) -> _CellIndex:
-    """A fresh index of the class adapter names, holding the regions of cells."""
-    return adapter.cell_index({cid: cell.region for cid, cell in cells.items()})
-
-
 class StageBuilder:
     """Mutable insertion engine: a cell index and the masses of its cells."""
 
@@ -741,19 +733,7 @@ class StageBuilder:
         self.cells: dict[int, Cell] = {}
         self.total = ZERO
         self.records: list[StepRecord] = []
-        self._index = _cell_index(adapter, self.cells)
-
-    @classmethod
-    def from_stage(cls, stage: Stage) -> "StageBuilder":
-        b = cls(stage.adapter)
-        b.inserted = list(stage.inserted)
-        b._inserted_regions = {h.region for h in stage.inserted}
-        b.cells = dict(stage.cells)
-        b.total = stage.total_mass
-        b._index = _cell_index(b.adapter, b.cells)
-        for h in stage.inserted:
-            b._index.carve(h.region)
-        return b
+        self._index = adapter.cell_index({})
 
     @property
     def count(self) -> int:

@@ -262,6 +262,12 @@ def test_a_count_below_one_is_a_config_error(line_d3, check, count):
         run()
 
 
+def test_consistency_of_no_stages_is_a_config_error():
+    """With no stage there is nothing to sample, so no report of success."""
+    with pytest.raises(ConfigError, match="at least one stage"):
+        check_consistency([])
+
+
 # -- partitions ---------------------------------------------------------------
 
 

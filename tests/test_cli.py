@@ -307,6 +307,9 @@ def test_depth_below_one_is_a_config_error(capsys, command, flag, value):
         ["schedule", "--seed", "1"],
         ["partition", "1/8", "--seed", "1"],
         ["build", "--scan-cap", "9"],
+        ["schedule", "--basis-file", "/nonexistent"],
+        ["verify", "--basis-file", "/nonexistent"],
+        ["partition", "1/8", "--basis-file", "/nonexistent"],
     ],
     ids=[
         "verify-format",
@@ -315,6 +318,9 @@ def test_depth_below_one_is_a_config_error(capsys, command, flag, value):
         "schedule-seed",
         "partition-seed",
         "build-scan-cap",
+        "schedule-basis-file",
+        "verify-basis-file",
+        "partition-basis-file",
     ],
 )
 def test_a_command_refuses_a_flag_it_does_not_read(capsys, no_build, argv):

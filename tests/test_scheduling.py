@@ -226,16 +226,18 @@ def test_missing_block_raises(line_d2):
 # -- trace --------------------------------------------------------------------
 
 
-def test_stage_at_matches_sequential_replay(line_d2):
-    _, _, trace = line_d2
-    replayed = list(trace.stages(8))
-    for position, stage in enumerate(replayed, start=1):
-        direct = trace.stage_at(position)
-        assert direct.index == position
-        assert {c.region for c in direct.cells.values()} == {
-            c.region for c in stage.cells.values()
-        }
-        assert direct.total_mass == stage.total_mass
+def test_stage_at_matches_sequential_replay(line_d2, cantor_d3):
+    """Every stage, a snapshot or a replay, is the stage the sequential
+    run reaches there, cell for cell."""
+    for _, _, trace in (line_d2, cantor_d3):
+        for position, stage in enumerate(trace.stages(), start=1):
+            direct = trace.stage_at(position)
+            assert direct.index == position
+            assert direct.inserted == stage.inserted
+            assert direct.total_mass == stage.total_mass
+            # cells compare by id, region, mass, kind, parent and birth
+            assert direct.cells == stage.cells
+        assert position == len(trace)
 
 
 def test_stage_at_bounds(line_d2):

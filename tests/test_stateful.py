@@ -71,18 +71,6 @@ class _RecordingDict(dict):
         return super().__contains__(key)
 
 
-class _RecordingSet(set):
-    """A set that records every element it is asked about."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.asked: list = []
-
-    def __contains__(self, key) -> bool:
-        self.asked.append(key)
-        return super().__contains__(key)
-
-
 class EngineMachine(RuleBasedStateMachine):
     """A builder and the reference engine, stepped together."""
 
@@ -267,7 +255,7 @@ class CantorMachine(EngineMachine):
     def __init__(self) -> None:
         super().__init__()
         index = self.builder._index
-        index._members, index._populated = _RecordingDict(), _RecordingSet()
+        index._members = _RecordingDict()
 
     @rule(region=cylinders)
     def insert_cylinder(self, region) -> None:
@@ -289,14 +277,13 @@ class CantorMachine(EngineMachine):
             words.update((p, p[:-1], p + "0", p + "1"))
         for w in sorted(words):
             index._members.asked.clear()
-            index._populated.asked.clear()
             holder = [cid for p, cid in keys.items() if w.startswith(p)]
             assert index._holder(w) == (holder[0] if holder else None)
             deepest = max(
                 (k for k in range(len(w) + 1) if any(p.startswith(w[:k]) for p in keys)),
                 default=0,
             )
-            asked = set(index._members.asked) | set(index._populated.asked)
+            asked = set(index._members.asked)
             assert asked == {w[:k] for k in range(deepest, len(w) + 1)}
             assert index._under(w) == sorted(p for p in keys if p.startswith(w))
             self.check_host(cantor_region((w,)))
