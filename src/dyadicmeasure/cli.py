@@ -2,10 +2,13 @@
 
 Outputs are deterministic given the arguments: JSON is emitted with sorted
 keys and fixed indentation, every mass appears as an exact mantissa/scale
-pair, and all sampling is seeded.  Exit codes: 0 on success, 2 for
-configuration problems (an unwritable ``--out`` among them), 3 when a
-verification suite finds a violation (a counterexample artifact is written
-in that case, or stderr says why it could not be).
+pair, and all sampling is seeded.  ``verify`` runs its additivity and
+positivity checks in a forked child while its other checks run here, when
+the machine has a CPU to spare (``_alongside``); the output is the same
+either way.  Exit codes: 0 on success, 2 for configuration problems (an
+unwritable ``--out`` among them), 3 when a verification suite finds a
+violation (a counterexample artifact is written in that case, or stderr
+says why it could not be).
 """
 
 from __future__ import annotations
@@ -14,7 +17,10 @@ import argparse
 import csv
 import io
 import json
+import os
+import signal
 import sys
+import threading
 from fractions import Fraction
 
 from .adapters import DEFAULT_SCAN_CAP, make_adapter
@@ -123,31 +129,116 @@ def _cmd_schedule(args: argparse.Namespace) -> dict:
     }
 
 
+def _fork_helps() -> bool:
+    """Whether a forked child can run beside this process: ``os.fork``
+    exists, two or more CPUs are usable, and no other thread holds a lock
+    that the child would inherit held."""
+    if not hasattr(os, "fork") or threading.active_count() != 1:
+        return False
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask off Linux
+        cpus = os.cpu_count() or 1
+    return cpus >= 2
+
+
+def _alongside(main, side):
+    """Return ``(main(), side())``, running side in a forked child while
+    main runs here when ``_fork_helps``, and both here otherwise.
+
+    The child inherits every object side reads, so only its result
+    crosses the pipe, pickled, and the child leaves through ``os._exit``:
+    no buffer, exit hook or caller's cleanup runs twice.  The child is
+    always reaped, and killed first when main raises.  When the fork
+    fails, or the child delivers no result (its side raised, or it was
+    killed), side runs here instead, so the result and any error are the
+    inline ones.
+    """
+    if not _fork_helps():
+        return main(), side()
+    import pickle  # only a forking verify needs it: 0.4 MB of RSS
+
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # no process to spare: run both here
+        os.close(read_end)
+        os.close(write_end)
+        return main(), side()
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_end)
+            data = pickle.dumps(side())
+            with os.fdopen(write_end, "wb") as out:
+                out.write(data)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_end)
+    with os.fdopen(read_end, "rb") as inp:
+        try:
+            here = main()
+        except BaseException:
+            os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            data = inp.read()
+            status = os.waitpid(pid, 0)[1]
+    return here, pickle.loads(data) if status == 0 else side()
+
+
+def _attempt(check, *args, **kwargs):
+    """check's report as JSON, or the package error it raised, which the
+    caller raises once every check before it in the serial order passed."""
+    try:
+        return to_json(check(*args, **kwargs))
+    except DyadicMeasureError as exc:
+        return exc
+
+
 def _cmd_verify(args: argparse.Namespace) -> dict:
     adapter = _make_adapter(args)
     schedule, trace = build_schedule(adapter, args.depth, args.scan_cap)
-    sampled = trace.stage_at(min(12, len(trace)))
+    # one replay of the stream prefix: consistency reads its first eight
+    # stages and additivity samples its last
+    replayed = list(trace.stages(min(12, len(trace))))
+    sampled = replayed[-1]
     if len(sampled.cells) < 2:
         raise ConfigError(
             f"additivity sampling needs >= 2 cells, but stage {sampled.index} "
             f"has {len(sampled.cells)}; use a deeper --depth"
         )
-    certificates = [
-        to_json(certify_boundary(schedule, trace, i))
-        for i in sorted({b.i for b in schedule.blocks})
-    ]
-    decay = [
-        {"m": m, "value": to_json(certify_max_decay(schedule, trace, m))}
-        for m in range(1, args.depth + 1)
-    ]
-    reports = [
-        check_conservation(trace),
-        check_additivity(sampled, 1000, seed=args.seed),
-        check_consistency(
-            list(trace.stages(min(8, len(trace)))), 50, seed=args.seed
-        ),
-        check_positivity(adapter, 50),
-    ]
+
+    def certify():
+        certificates = [
+            to_json(certify_boundary(schedule, trace, i))
+            for i in sorted({b.i for b in schedule.blocks})
+        ]
+        decay = [
+            {"m": m, "value": to_json(certify_max_decay(schedule, trace, m))}
+            for m in range(1, args.depth + 1)
+        ]
+        conservation = to_json(check_conservation(trace))
+        consistency = _attempt(
+            check_consistency, replayed[:8], 50, seed=args.seed
+        )
+        return certificates, decay, conservation, consistency
+
+    def sample():
+        return (
+            _attempt(check_additivity, sampled, 1000, seed=args.seed),
+            _attempt(check_positivity, adapter, 50),
+        )
+
+    here, (additivity, positivity) = _alongside(certify, sample)
+    certificates, decay, conservation, consistency = here
+    # a boundary, decay or conservation failure has raised in certify; the
+    # rest raise here, the first in the serial order
+    reports = [conservation, additivity, consistency, positivity]
+    for report in reports:
+        if isinstance(report, DyadicMeasureError):
+            raise report
     return {
         "adapter": adapter.name,
         "command": "verify",
@@ -155,7 +246,7 @@ def _cmd_verify(args: argparse.Namespace) -> dict:
         "seed": args.seed,
         "boundary_certificates": certificates,
         "max_decay": decay,
-        "reports": [to_json(report) for report in reports],
+        "reports": reports,
     }
 
 

@@ -9,9 +9,20 @@ report.  Config errors are reserved for the command line front end.
 
 from __future__ import annotations
 
+import copyreg
+
 
 class DyadicMeasureError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every error raised by this package.
+
+    Every error pickles with its attributes (``stage``, ``block``,
+    ``required_m``), whatever arguments a subclass's ``__init__`` takes:
+    ``dyadicmeasure verify`` hands them back from a forked child.
+    """
+
+    def __reduce__(self):
+        # rebuilt by __new__ and the instance dict, not by __init__
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class ConfigError(DyadicMeasureError):

@@ -1,5 +1,6 @@
 """Fixtures shared by several test modules."""
 
+import os
 import sys
 
 import pytest
@@ -23,3 +24,41 @@ def default_str_digit_limit():
         yield True
     finally:
         sys.set_int_max_str_digits(old)
+
+
+@pytest.fixture
+def one_cpu(monkeypatch):
+    """Report one usable CPU, so ``verify`` runs every check in this
+    process; a fork fails the test."""
+    monkeypatch.setattr(
+        os, "sched_getaffinity", lambda pid: {0}, raising=False
+    )
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+
+    def refuse():
+        raise AssertionError("forked with one usable CPU")
+
+    monkeypatch.setattr(os, "fork", refuse, raising=False)
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Report two usable CPUs, so ``verify`` forks; yields the list of
+    child pids it forked."""
+    if not hasattr(os, "fork"):
+        pytest.skip("no os.fork on this platform")
+    monkeypatch.setattr(
+        os, "sched_getaffinity", lambda pid: {0, 1}, raising=False
+    )
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    fork = os.fork
+    pids = []
+
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    yield pids

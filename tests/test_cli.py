@@ -1,6 +1,7 @@
 """Command line front end: payload shapes, determinism, exit codes."""
 
 import json
+import os
 import sys
 import time
 
@@ -11,7 +12,12 @@ import dyadicmeasure.cli as cli
 import dyadicmeasure.masses as masses
 from dyadicmeasure.adapters import make_adapter
 from dyadicmeasure.dyadic import ONE, DyadicMass
-from dyadicmeasure.errors import AdditivityViolation, DecayViolation
+from dyadicmeasure.errors import (
+    AdditivityViolation,
+    ChainViolation,
+    ConsistencyViolation,
+    DecayViolation,
+)
 from dyadicmeasure.scheduling import build_schedule
 
 T1_BASIS = "# first three insertions\n(0,2)\n(1,3)\n\n(9/4,11/4)\n"
@@ -518,3 +524,103 @@ def test_consistency_violation_writes_artifact(capsys, tmp_path, monkeypatch):
     artifact = json.loads(target.read_text(encoding="utf-8"))
     assert artifact["error"] == "ConsistencyViolation"
     assert "moved from" in artifact["message"]
+
+
+# -- the forked checks -----------------------------------------------------------
+
+
+def _no_children_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _verify_artifact(capsys, tmp_path, name):
+    target = tmp_path / name
+    code, out, _ = run(
+        capsys, "verify", "--adapter", "cantor", "--depth", "2",
+        "--out", str(target),
+    )
+    assert code == 3
+    assert out == ""
+    return target.read_bytes()
+
+
+def test_child_side_violation_matches_the_inline_artifact(
+    capsys, tmp_path, monkeypatch, request, two_cpus
+):
+    # kappa reading zero fails only positivity, which the child runs
+    monkeypatch.setattr(certificates, "kappa", lambda stage, d: DyadicMass(0, 0))
+    forked = _verify_artifact(capsys, tmp_path, "forked.json")
+    assert len(two_cpus) == 1
+    _no_children_left()
+    request.getfixturevalue("one_cpu")
+    inline = _verify_artifact(capsys, tmp_path, "inline.json")
+    assert forked == inline
+    assert json.loads(forked)["error"] == "VerificationViolation"
+
+
+def test_parent_side_violation_reaps_the_child(
+    capsys, tmp_path, monkeypatch, two_cpus
+):
+    def explode(schedule, trace, i):
+        raise ChainViolation("boom", stage=3, block=(i, 1))
+
+    monkeypatch.setattr(cli, "certify_boundary", explode)
+    artifact = json.loads(_verify_artifact(capsys, tmp_path, "v.json"))
+    assert len(two_cpus) == 1
+    assert artifact["error"] == "ChainViolation"
+    assert artifact["block"] == [1, 1]
+    _no_children_left()
+
+
+@pytest.mark.parametrize("cpus", ["one_cpu", "two_cpus"])
+def test_additivity_is_reported_before_consistency(
+    capsys, tmp_path, monkeypatch, request, cpus
+):
+    request.getfixturevalue(cpus)
+
+    def additivity(stage, sample_count=1000, seed=0):
+        raise AdditivityViolation("additivity boom", stage=stage.index)
+
+    def consistency(stages, per_stage=200, seed=0):
+        raise ConsistencyViolation("consistency boom", stage=1)
+
+    monkeypatch.setattr(cli, "check_additivity", additivity)
+    monkeypatch.setattr(cli, "check_consistency", consistency)
+    artifact = json.loads(_verify_artifact(capsys, tmp_path, "v.json"))
+    assert artifact["error"] == "AdditivityViolation"
+    assert artifact["message"] == "additivity boom"
+    _no_children_left()
+
+
+def test_side_that_fails_in_the_child_runs_again_inline(two_cpus):
+    # an error that is not the package's leaves the child without a
+    # result, so the caller sees it raised here, traceback and all
+    ran_here = []
+
+    def side():
+        ran_here.append(os.getpid())
+        raise RuntimeError("side failed")
+
+    with pytest.raises(RuntimeError, match="side failed"):
+        cli._alongside(lambda: "main", side)
+    assert len(two_cpus) == 1
+    assert ran_here == [os.getpid()]
+    _no_children_left()
+
+
+def test_alongside_returns_both_results(two_cpus):
+    assert cli._alongside(lambda: "main", os.getpid) == (
+        "main", two_cpus[0],
+    )
+    _no_children_left()
+
+
+def test_alongside_runs_inline_when_fork_fails(monkeypatch, two_cpus):
+    def no_process():
+        raise BlockingIOError("no process to spare")
+
+    monkeypatch.setattr(os, "fork", no_process)
+    assert cli._alongside(lambda: "main", os.getpid) == (
+        "main", os.getpid(),
+    )

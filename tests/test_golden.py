@@ -110,6 +110,17 @@ def test_cli_output_matches_golden(tmp_path, command, adapter):
         assert out.read_bytes() == (GOLDEN / name).read_bytes()
 
 
+@pytest.mark.parametrize("adapter", ["rational-line", "cantor"])
+def test_verify_with_one_cpu_matches_golden(tmp_path, one_cpu, adapter):
+    """With one usable CPU every verify check runs in this process, and
+    the output is the same as the forked run's."""
+    out = tmp_path / "output"
+    argv = ["verify", "--depth", "3", "--adapter", adapter, "--out", str(out)]
+    assert cli.main(argv) == 0
+    golden = GOLDEN / f"verify-{adapter}-d3.json"
+    assert out.read_bytes() == golden.read_bytes()
+
+
 def test_first_line_regions_digest():
     adapter = make_adapter("rational-line")
     text = "".join(
