@@ -294,11 +294,6 @@ def cantor_minus(x: CantorRegion, y: CantorRegion) -> CantorRegion:
     return CantorRegion(tuple(out))
 
 
-def cantor_complement(x: CantorRegion) -> CantorRegion:
-    """Exact complement; cylinders are clopen so this is again a region."""
-    return cantor_minus(CANTOR_ALL, x)
-
-
 def cantor_union(x: CantorRegion, y: CantorRegion) -> CantorRegion:
     return cantor_region(x.prefixes + y.prefixes)
 

@@ -22,8 +22,8 @@ one walk (``carve``) that also records the set's closure; ``locate_host``
 finds hole hosts and ``decompose`` writes regions as whole cells.
 ``StageBuilder`` keeps the masses over its index; ``snapshot`` returns an
 immutable ``Stage``, which builds an index from its own cells when
-``decompose`` first needs one, and ``run`` inserts a sequence of handles,
-yielding the stage after each.
+``decompose`` first needs one, holding only what ``decompose`` reads, and
+``run`` inserts a sequence of handles, yielding the stage after each.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ from .regions import (
     cantor_meet,
     cantor_minus,
     cantor_region,
-    cantor_union,
     line_minus_closure,  # unused here: the benchmark tracer patches this name
 )
 
@@ -338,9 +337,11 @@ class _CellIndex:
     (``split_cells``), refile each as its pieces inside and outside the set
     (``_split``), and carve the set's fresh part outside the closures of
     the sets inserted before, recording its own closure as they are walked
-    (``carve``).  An index holds regions and ids only, never an adapter, so a
-    stage, a builder or a line stream that keeps one forms no reference
-    cycle with its adapter and is freed by reference counting once dropped.
+    (``carve``).  Only an index that starts empty refines; one built from a
+    stage's cells keeps what ``decompose`` reads.  It holds regions and ids,
+    never an adapter, so a stage, a builder or a line stream that keeps one
+    forms no reference cycle with its adapter and is freed by reference
+    counting once dropped.
     """
 
     def __init__(self, regions: dict[int, object]):
@@ -374,18 +375,18 @@ class _LineCells(_CellIndex):
     hi, cell_id]``, where ``(lo_h, lo_e, lo)`` is ``line_key(lo)``.  Parts
     are disjoint open intervals, so their starts are unique and one sorted
     list of the entries is ordered by ``lo`` alone; a bisect probes it with
-    a bare key ``[lo_h, lo_e, lo]``.  Each cell also keeps its own entries,
-    ascending.  Refinement only ever makes the partition finer, so no start
-    ever goes away: a split shortens the entries that straddle the ends of
-    the new interval in place, adds one entry per cut-off tail and relabels
-    the cell's entries, and the list never loses an entry.  Cells with two
-    or more parts also sit in a ``_SpanIndex``, built when ``split_cells``
-    first needs it, so an index that only decomposes never builds one.  The
-    closures of the inserted intervals are kept merged, as a sorted list of
-    disjoint closed intervals ``[lo_h, lo_e, lo, hi_h, hi_e, hi]``, and
-    ``carve`` reads the gaps between those that meet a new interval and
-    merges them with its closure in the same walk.  An index built from a
-    stage's cells has none, and only decomposes.
+    a bare key ``[lo_h, lo_e, lo]``.  A cell filed by refinement also keeps
+    its own entries, ascending; an index built from a stage's cells holds
+    the part list alone.  Refinement only makes the partition finer, so no
+    start ever goes away: a split shortens the entries that straddle the
+    ends of the new interval in place, adds one entry per cut-off tail and
+    relabels the cell's entries, and the list never loses an entry.  Cells
+    with two or more parts also sit in a ``_SpanIndex``, built when
+    ``split_cells`` first needs it.  The closures of the inserted intervals
+    are kept merged, as a sorted list of disjoint closed intervals
+    ``[lo_h, lo_e, lo, hi_h, hi_e, hi]``, and ``carve`` reads the gaps
+    between those that meet a new interval and merges them with its closure
+    in the same walk.
 
     Every comparison goes through the keys, which order exactly like the
     rationals.  A key of one float is not enough: the straddlers around 0
@@ -397,12 +398,11 @@ class _LineCells(_CellIndex):
 
     def __init__(self, regions: dict[int, LineRegion]):
         super().__init__(regions)
-        self._entries = {
-            cid: tuple(list(_line_entry(lo, hi, cid)) for lo, hi in region.parts)
-            for cid, region in regions.items()
-        }
+        self._entries: dict[int, tuple] = {}
         self._parts = sorted(
-            entry for entries in self._entries.values() for entry in entries
+            list(_line_entry(lo, hi, cid))
+            for cid, region in regions.items()
+            for lo, hi in region.parts
         )
         self._spans: _SpanIndex | None = None  # cells with two or more parts
         self._closures: list[list] = []
@@ -560,6 +560,10 @@ class _LineCells(_CellIndex):
         region, and rejects a part that ends past it, so a cell lies inside
         region exactly when the walk visits all its parts; it counts them.
         """
+        if not isinstance(region, LineRegion):
+            raise NotRepresentable(
+                f"{region!r} is not a line region like stage {stage.index}'s cells"
+            )
         parts = self._parts
         visits: dict[int, int] = {}
         residue: set[Fraction] = set()
@@ -618,9 +622,7 @@ class _CantorCells(_CellIndex):
     populated: filing a key walks up only until it meets a populated word.
     Walking up from w, the first word in the dict decides: a key holds w,
     and a populated word means no key does; walking down from w through
-    populated words reaches exactly the keys under w.  The union of the
-    inserted cylinders is kept as one region; an index built from a stage's
-    cells has it empty.
+    populated words reaches exactly the keys under w.
     """
 
     def __init__(self, regions: dict[int, CantorRegion]):
@@ -628,7 +630,6 @@ class _CantorCells(_CellIndex):
         self._members: dict[str, int] = {}
         for cid, region in regions.items():
             self.add(cid, region)
-        self._covered = cantor_region(())
 
     def add(self, cid: int, region: CantorRegion) -> None:
         members = self._members
@@ -703,12 +704,18 @@ class _CantorCells(_CellIndex):
         )
 
     def carve(self, region: CantorRegion) -> CantorRegion:
-        """Region minus the inserted cylinders, which then take it in."""
-        fresh = cantor_minus(region, self._covered)
-        self._covered = cantor_union(self._covered, region)
-        return fresh
+        """w minus the inserted cylinders, whose union the clopen cells make up."""
+        w = region.prefixes[0]
+        if self._holder(w) is not None:
+            return CantorRegion(())
+        under = self._under(w)
+        return cantor_minus(region, CantorRegion(tuple(under))) if under else region
 
     def decompose(self, region: CantorRegion, stage: Stage) -> RingElement:
+        if not isinstance(region, CantorRegion):
+            raise NotRepresentable(
+                f"{region!r} is not a Cantor region like stage {stage.index}'s cells"
+            )
         cells_in = {
             self._members[key] for q in region.prefixes for key in self._under(q)
         }

@@ -16,7 +16,6 @@ from dyadicmeasure.regions import (
     CANTOR_ALL,
     CANTOR_EMPTY,
     cantor_closure_strictly_inside,
-    cantor_complement,
     cantor_contains_point,
     cantor_meet,
     cantor_minus,
@@ -57,13 +56,6 @@ def test_canonicalize_cascades():
 def test_rejects_bad_alphabet():
     with pytest.raises(InvariantViolation):
         cantor_region(["02"])
-
-
-def test_complement_examples():
-    assert cantor_complement(cantor_region(["0"])) == cantor_region(["1"])
-    assert cantor_complement(CANTOR_ALL) == CANTOR_EMPTY
-    assert cantor_complement(CANTOR_EMPTY) == CANTOR_ALL
-    assert cantor_complement(cantor_region(["01"])) == cantor_region(["00", "1"])
 
 
 def test_meet_prefix_relation():
@@ -116,12 +108,6 @@ def test_meet_is_intersection(ps, qs):
 def test_union_is_union(ps, qs):
     x, y = cantor_region(ps), cantor_region(qs)
     assert expand(canonical(cantor_union(x, y)), 5) == expand(x, 5) | expand(y, 5)
-
-
-@given(prefixes)
-def test_complement_is_complement(ps):
-    x = cantor_region(ps)
-    assert expand(canonical(cantor_complement(x)), 5) == words(5) - expand(x, 5)
 
 
 @given(prefixes, prefixes)

@@ -506,6 +506,18 @@ def test_decompose_cantor():
             decompose(cantor_region(words), stage)
 
 
+def test_decompose_refuses_a_cantor_region_on_a_line_stage(t1):
+    _, _, stages = t1
+    with pytest.raises(NotRepresentable, match="not a line region.*stage 3"):
+        decompose(cantor_region(["0"]), stages[2])
+
+
+def test_decompose_refuses_a_line_region_on_a_cantor_stage():
+    stage = _cantor_two_cells().snapshot()
+    with pytest.raises(NotRepresentable, match="not a Cantor region.*stage 2"):
+        decompose(interval(0, 1), stage)
+
+
 # -- order invariants ---------------------------------------------------------
 
 
@@ -681,6 +693,35 @@ def test_line_depth4_build_refines_parts_in_place(monkeypatch):
         for lo, hi in cell.region.parts
     )
     assert builder._index._parts == expected
+
+
+def test_line_depth4_stage_index_holds_only_the_part_list():
+    """The final stage's index, built when decompose first needs it, holds
+    the sorted part list that decompose walks and no per-cell entries,
+    which only refinement reads."""
+    _, trace = build_schedule(make_adapter("rational-line"), 4)
+    stage = trace.final
+    first = min(stage.cells)
+    assert decompose(stage.cells[first].region, stage).open_cells == {first}
+    expected = sorted(
+        list(_line_entry(lo, hi, cid))
+        for cid, cell in stage.cells.items()
+        for lo, hi in cell.region.parts
+    )
+    assert stage._index._entries == {}
+    assert stage._index._parts == expected
+    assert stage._index._spans is None
+
+
+def test_cantor_index_keeps_regions_and_one_dict():
+    """The union of the inserted cylinders is the union of the cells, so
+    neither a builder's index nor a stage's keeps it as a region."""
+    _, trace = build_schedule(make_adapter("cantor"), 3)
+    builder = StageBuilder(make_adapter("cantor"))
+    stage = list(builder.run(trace.stream))[-1]
+    decompose(cantor_region([""]), stage)
+    for index in (builder._index, stage._index):
+        assert set(vars(index)) == {"regions", "next_id", "_members"}
 
 
 @pytest.mark.parametrize("sign", [1, -1])
