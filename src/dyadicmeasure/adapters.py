@@ -58,6 +58,7 @@ them, skipping values equal to an injected element.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -307,6 +308,19 @@ class SpaceAdapter:
         decide membership in each of those regions.
         """
         raise NotImplementedError
+
+    def point_hosts(
+        self, points: Sequence[object], regions: Sequence[object]
+    ) -> list[list[int]]:
+        """For each point, the ascending positions in ``regions`` of the
+        regions that contain it; the regions may overlap.
+
+        The default tests every point in every region.
+        """
+        return [
+            [n for n, r in enumerate(regions) if self.contains_point(r, x)]
+            for x in points
+        ]
 
     # scans ----------------------------------------------------------------
 
@@ -626,6 +640,22 @@ class RationalLine(SpaceAdapter):
             probes.extend(((3 * a + b) / 4, (a + b) / 2, (a + 3 * b) / 4))
         return probes
 
+    def point_hosts(
+        self, points: Sequence[object], regions: Sequence[object]
+    ) -> list[list[int]]:
+        # sort the few points once and bisect each part (a, b) into them:
+        # every point strictly inside a part gets the part's region, so
+        # overlapping regions each count
+        order = sorted(range(len(points)), key=points.__getitem__)
+        ordered = [points[k] for k in order]
+        hosts: list[list[int]] = [[] for _ in points]
+        for n, region in enumerate(regions):
+            for a, b in region.parts:
+                inside = order[bisect_right(ordered, a):bisect_left(ordered, b)]
+                for k in inside:
+                    hosts[k].append(n)
+        return hosts
+
 
 # -- Cantor space --------------------------------------------------------------
 
@@ -696,6 +726,25 @@ class CantorSpace(SpaceAdapter):
             (len(p) for r in (region, *against) for p in r.prefixes), default=0
         )
         return [p + "0" * (pad - len(p)) for p in words]
+
+    def point_hosts(
+        self, points: Sequence[object], regions: Sequence[object]
+    ) -> list[list[int]]:
+        # a word lies in a cylinder when the cylinder's prefix is one of
+        # the word's prefixes: look each of those up
+        holders: dict[str, list[int]] = {}
+        for n, region in enumerate(regions):
+            for p in region.prefixes:
+                holders.setdefault(p, []).append(n)
+        longest = max(map(len, holders), default=-1)
+        return [
+            sorted(
+                n
+                for end in range(min(len(x), longest) + 1)
+                for n in holders.get(x[:end], ())
+            )
+            for x in points
+        ]
 
 
 ADAPTERS = {

@@ -151,23 +151,20 @@ def _probe_agreement(stage: Stage, region, element: RingElement) -> int:
     Each probe point must lie in the region and in exactly one cell of the
     element, or be one of the element's residue boundary points.  This is
     the low-tech oracle backing the exact region algebra; a failure is an
-    implementation bug, not a falsified bound.
+    implementation bug, not a falsified bound.  The adapter's
+    ``point_hosts`` finds the hosts from the cells' regions alone.
     """
     adapter = stage.adapter
-    probes = adapter.probe_points(
-        region, [stage.cells[cid].region for cid in element.open_cells]
-    )
+    cids = list(element.open_cells)
+    regions = [stage.cells[cid].region for cid in cids]
+    probes = adapter.probe_points(region, regions)
     checked = 0
-    for x in probes:
+    for x, found in zip(probes, adapter.point_hosts(probes, regions)):
         if not adapter.contains_point(region, x):
             raise InvariantViolation(
                 f"probe {x!r} escaped its own region {region!r}"
             )
-        hosts = [
-            cid
-            for cid in element.open_cells
-            if adapter.contains_point(stage.cells[cid].region, x)
-        ]
+        hosts = [cids[n] for n in found]
         if len(hosts) > 1:
             raise InvariantViolation(
                 f"probe {x!r} lies in cells {sorted(hosts)} at once"
@@ -298,6 +295,12 @@ class AdditivityReport:
     covers: int
 
 
+def _numerators(masses) -> list[int]:
+    """The masses' numerators over their largest denominator 2**scale."""
+    scale = max(m.scale for m in masses)
+    return [m.mantissa << (scale - m.scale) for m in masses]
+
+
 def check_additivity(
     stage: Stage, sample_count: int = 1000, seed: int = 0
 ) -> AdditivityReport:
@@ -306,8 +309,8 @@ def check_additivity(
     Disjoint pairs are built by splitting a shuffle of the stage's cells
     (plus a sprinkle of boundary points, which must contribute nothing);
     covers are built by inflating a partition of a random element with
-    extra cells.  Fractions are used for the comparisons because a
-    violating sum could exceed one.
+    extra cells.  The comparisons are of exact integer numerators over a
+    common power of two, because a violating sum could exceed one.
     """
     if sample_count < 1:
         raise ConfigError(f"sample_count must be >= 1, got {sample_count}")
@@ -341,10 +344,10 @@ def check_additivity(
             frozenset(order[a:b]),
             frozenset(p for k, p in enumerate(chosen_points) if k % 2 != side),
         )
-        v1 = kappa(stage, d1).as_fraction()
-        v2 = kappa(stage, d2).as_fraction()
-        vu = kappa(stage, ring_union(d1, d2)).as_fraction()
-        if vu != v1 + v2:
+        masses = [kappa(stage, d) for d in (d1, d2, ring_union(d1, d2))]
+        n1, n2, nu = _numerators(masses)
+        if nu != n1 + n2:
+            v1, v2, vu = (v.as_fraction() for v in masses)
             raise AdditivityViolation(
                 f"kappa not additive at stage {stage.index}, seed {seed}, "
                 f"round {round_no}: cells {sorted(d1.open_cells)} + "
@@ -358,16 +361,14 @@ def check_additivity(
         pieces = [set(target[k::piece_count]) for k in range(piece_count)]
         for piece in pieces:
             piece.update(rng.sample(ids, rng.randint(0, 2)))
-        vt = kappa(
-            stage, RingElement(stage.index, frozenset(target), frozenset())
-        ).as_fraction()
-        vs = sum(
-            kappa(
-                stage, RingElement(stage.index, frozenset(piece), frozenset())
-            ).as_fraction()
-            for piece in pieces
-        )
-        if vt > vs:
+        masses = [
+            kappa(stage, RingElement(stage.index, frozenset(ids), frozenset()))
+            for ids in (target, *pieces)
+        ]
+        nt, *ns = _numerators(masses)
+        if nt > sum(ns):
+            vt = masses[0].as_fraction()
+            vs = sum(v.as_fraction() for v in masses[1:])
             raise AdditivityViolation(
                 f"kappa not subadditive at stage {stage.index}, seed {seed}, "
                 f"round {round_no}: element {sorted(target)} has mass {vt}, "

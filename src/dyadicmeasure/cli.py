@@ -2,13 +2,14 @@
 
 Outputs are deterministic given the arguments: JSON is emitted with sorted
 keys and fixed indentation, every mass appears as an exact mantissa/scale
-pair, and all sampling is seeded.  ``verify`` runs its additivity and
-positivity checks in a forked child while its other checks run here, when
-the machine has a CPU to spare (``_alongside``); the output is the same
-either way.  Exit codes: 0 on success, 2 for configuration problems (an
-unwritable ``--out`` among them), 3 when a verification suite finds a
-violation (a counterexample artifact is written in that case, or stderr
-says why it could not be).
+pair, and all sampling is seeded.  ``verify`` runs its sampled checks
+(additivity, consistency, positivity) in a child forked before the build,
+on a shallower schedule whose stream starts like the requested one's,
+while this process builds and certifies, when the machine has a CPU to
+spare (``_alongside``); the output is the same either way.  Exit codes:
+0 on success, 2 for configuration problems (an unwritable ``--out`` among
+them), 3 when a verification suite finds a violation (a counterexample
+artifact is written in that case, or stderr says why it could not be).
 """
 
 from __future__ import annotations
@@ -143,28 +144,28 @@ def _fork_helps() -> bool:
 
 
 def _alongside(main, side):
-    """Return ``(main(), side())``, running side in a forked child while
-    main runs here when ``_fork_helps``, and both here otherwise.
+    """Return ``(main(), result)``: result is what side returned in a
+    forked child that ran while main ran here, or None when no child ran
+    (``_fork_helps`` is false or the fork failed) or it delivered nothing
+    (side raised, or the child was killed).  The caller then runs what
+    it needs of side here.
 
     The child inherits every object side reads, so only its result
     crosses the pipe, pickled, and the child leaves through ``os._exit``:
     no buffer, exit hook or caller's cleanup runs twice.  The child is
-    always reaped, and killed first when main raises.  When the fork
-    fails, or the child delivers no result (its side raised, or it was
-    killed), side runs here instead, so the result and any error are the
-    inline ones.
+    always reaped, and killed first when main raises.
     """
     if not _fork_helps():
-        return main(), side()
+        return main(), None
     import pickle  # only a forking verify needs it: 0.4 MB of RSS
 
     read_end, write_end = os.pipe()
     try:
         pid = os.fork()
-    except OSError:  # no process to spare: run both here
+    except OSError:  # no process to spare
         os.close(read_end)
         os.close(write_end)
-        return main(), side()
+        return main(), None
     if pid == 0:
         code = 1
         try:
@@ -185,7 +186,7 @@ def _alongside(main, side):
         finally:
             data = inp.read()
             status = os.waitpid(pid, 0)[1]
-    return here, pickle.loads(data) if status == 0 else side()
+    return here, pickle.loads(data) if status == 0 else None
 
 
 def _attempt(check, *args, **kwargs):
@@ -197,45 +198,84 @@ def _attempt(check, *args, **kwargs):
         return exc
 
 
-def _cmd_verify(args: argparse.Namespace) -> dict:
-    adapter = _make_adapter(args)
-    schedule, trace = build_schedule(adapter, args.depth, args.scan_cap)
-    # one replay of the stream prefix: consistency reads its first eight
-    # stages and additivity samples its last
-    replayed = list(trace.stages(min(12, len(trace))))
+# the sampled checks read only the stream's first stages: consistency the
+# first eight, additivity the last
+SAMPLED_STAGES = 12
+
+
+def _sampled_prefix(trace) -> tuple[int, ...]:
+    return tuple(h.index for h in trace.stream[:SAMPLED_STAGES])
+
+
+def _sampled_checks(trace, seed: int) -> tuple[tuple[int, ...], list]:
+    """The indices of the stream prefix these checks read, and the
+    additivity, consistency and positivity reports, each as JSON or as
+    the package error it raised.  Raises ConfigError when the last stage
+    of the prefix has fewer than two cells."""
+    replayed = list(trace.stages(min(SAMPLED_STAGES, len(trace))))
     sampled = replayed[-1]
     if len(sampled.cells) < 2:
         raise ConfigError(
             f"additivity sampling needs >= 2 cells, but stage {sampled.index} "
             f"has {len(sampled.cells)}; use a deeper --depth"
         )
+    return _sampled_prefix(trace), [
+        _attempt(check_additivity, sampled, 1000, seed=seed),
+        _attempt(check_consistency, replayed[:8], 50, seed=seed),
+        _attempt(check_positivity, trace.adapter, 50),
+    ]
 
-    def certify():
-        certificates = [
+
+def _early_trace(adapter, depth: int, scan_cap: int):
+    """The trace of the shallowest schedule, at most depth deep, whose
+    stream has SAMPLED_STAGES stages: a schedule's stream is a prefix of
+    every deeper one's, so the sampled checks read the same stages on it
+    as on depth's own."""
+    for shallow in range(1, depth + 1):
+        _, trace = build_schedule(adapter, shallow, scan_cap)
+        if len(trace) >= SAMPLED_STAGES:
+            break
+    return trace
+
+
+def _certify(schedule, trace, depth: int) -> dict:
+    """The boundary certificates, the decay values and the conservation
+    report, in that order; the first failure raises."""
+    return {
+        "certificates": [
             to_json(certify_boundary(schedule, trace, i))
             for i in sorted({b.i for b in schedule.blocks})
-        ]
-        decay = [
+        ],
+        "decay": [
             {"m": m, "value": to_json(certify_max_decay(schedule, trace, m))}
-            for m in range(1, args.depth + 1)
-        ]
-        conservation = to_json(check_conservation(trace))
-        consistency = _attempt(
-            check_consistency, replayed[:8], 50, seed=args.seed
-        )
-        return certificates, decay, conservation, consistency
+            for m in range(1, depth + 1)
+        ],
+        "conservation": to_json(check_conservation(trace)),
+    }
 
-    def sample():
-        return (
-            _attempt(check_additivity, sampled, 1000, seed=args.seed),
-            _attempt(check_positivity, adapter, 50),
-        )
 
-    here, (additivity, positivity) = _alongside(certify, sample)
-    certificates, decay, conservation, consistency = here
-    # a boundary, decay or conservation failure has raised in certify; the
-    # rest raise here, the first in the serial order
-    reports = [conservation, additivity, consistency, positivity]
+def _cmd_verify(args: argparse.Namespace) -> dict:
+    adapter = _make_adapter(args)
+
+    def build_and_certify():
+        schedule, trace = build_schedule(adapter, args.depth, args.scan_cap)
+        return trace, _attempt(_certify, schedule, trace, args.depth)
+
+    def sample_early():
+        trace = _early_trace(adapter, args.depth, args.scan_cap)
+        return _sampled_checks(trace, args.seed)
+
+    # the child forks before the build and samples the stages of a
+    # shallower schedule, which the prefix guard holds to this one's
+    (trace, certified), sampled = _alongside(build_and_certify, sample_early)
+    if sampled is None or sampled[0] != _sampled_prefix(trace):
+        sampled = _sampled_checks(trace, args.seed)
+    # the serial order: too few cells (raised by _sampled_checks), boundary,
+    # decay, conservation, additivity, consistency, positivity
+    if isinstance(certified, DyadicMeasureError):
+        raise certified
+    additivity, consistency, positivity = sampled[1]
+    reports = [certified["conservation"], additivity, consistency, positivity]
     for report in reports:
         if isinstance(report, DyadicMeasureError):
             raise report
@@ -244,8 +284,8 @@ def _cmd_verify(args: argparse.Namespace) -> dict:
         "command": "verify",
         "depth": args.depth,
         "seed": args.seed,
-        "boundary_certificates": certificates,
-        "max_decay": decay,
+        "boundary_certificates": certified["certificates"],
+        "max_decay": certified["decay"],
         "reports": reports,
     }
 

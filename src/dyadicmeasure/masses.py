@@ -30,12 +30,13 @@ def kappa(stage: Stage, d: RingElement) -> DyadicMass:
             f"ring element of stage {d.stage_index} evaluated at stage "
             f"{stage.index}"
         )
-    masses = []
-    for cid in d.open_cells:
-        cell = stage.cells.get(cid)
-        if cell is None:
-            raise UnknownCell(f"cell {cid} is not a cell of stage {stage.index}")
-        masses.append(cell.mass)
+    cells = stage.cells
+    try:
+        masses = [cells[cid].mass for cid in d.open_cells]
+    except KeyError as exc:
+        raise UnknownCell(
+            f"cell {exc.args[0]} is not a cell of stage {stage.index}"
+        ) from None
     return dyadic_sum(masses)
 
 

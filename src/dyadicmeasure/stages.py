@@ -800,8 +800,7 @@ def decompose(region, stage: Stage) -> RingElement:
     """Write region as whole cells plus finitely many boundary points.
 
     Raises NotRepresentable when region is not such a union, including when
-    any cell straddles it.
+    any cell straddles it, and when it is a region of another space, even
+    an empty one.
     """
-    if getattr(region, "is_empty", False):
-        return RingElement(stage.index, frozenset(), frozenset())
     return stage._cell_index().decompose(region, stage)

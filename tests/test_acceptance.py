@@ -266,6 +266,32 @@ def test_criterion_11_permutation_invariance():
                 f"permutations")
 
 
+def _stream_indices(name, depth):
+    _, trace = build_schedule(make_adapter(name), depth)
+    return [h.index for h in trace.stream]
+
+
+def test_line_streams_are_prefixes_of_deeper_ones(line_d5):
+    """verify samples its first stages from the shallowest schedule that
+    has them, which holds because a depth-d stream starts every deeper
+    one: line depths 1-4, each against the next."""
+    streams = [_stream_indices("rational-line", d) for d in range(1, 5)]
+    streams.append([h.index for h in line_d5[2].stream])
+    assert [len(s) for s in streams] == [8, 26, 155, 1526, 27436]
+    for short, deep in zip(streams, streams[1:]):
+        assert deep[: len(short)] == short
+
+
+def test_cantor_streams_are_prefixes_of_deeper_ones(cantor_d5):
+    """Cantor depths 1-5, each against the next."""
+    streams = [_stream_indices("cantor", d) for d in range(1, 5)]
+    streams.append([h.index for h in cantor_d5[2].stream])
+    streams.append(_stream_indices("cantor", 6))
+    assert len(streams[2]) == 30 and len(streams[4]) == 4094
+    for short, deep in zip(streams, streams[1:]):
+        assert len(deep) > len(short) and deep[: len(short)] == short
+
+
 def test_line_depth5_outputs_pinned(line_d5, monkeypatch, tmp_path):
     adapter, schedule, trace, _ = line_d5
     # the schedule command prints the fixture's schedule instead of a rebuild

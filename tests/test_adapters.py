@@ -314,6 +314,52 @@ def test_line_union_all_matches_line_region(regions):
     assert out.parts == line_region(p for r in regions for p in r.parts).parts
 
 
+# -- point_hosts --------------------------------------------------------------
+
+
+def _scanned_hosts(adapter, points, regions):
+    return [
+        [n for n, r in enumerate(regions) if adapter.contains_point(r, x)]
+        for x in points
+    ]
+
+
+def test_point_hosts_count_overlapping_regions(line, cantor):
+    regions = [interval(0, 2), interval(1, 3), line_region([(0, 1), (2, 3)])]
+    points = [F(5, 2), F(3, 2), F(1), F(1, 2), F(4)]
+    assert line.point_hosts(points, regions) == [[1, 2], [0, 1], [0], [0, 2], []]
+    words = ["0110", "1", ""]
+    regions = [cantor_region(["0"]), cantor_region([""]), cantor_region(["01"])]
+    assert cantor.point_hosts(words, regions) == [[0, 1, 2], [1], [1]]
+
+
+@settings(derandomize=True, max_examples=200)
+@given(line_region_lists(), st.data())
+def test_line_point_hosts_match_a_scan(regions, data):
+    # the pool's points and the midpoints between them: ends of parts,
+    # points inside them and points in no part, repeats included
+    middles = tuple((a + b) / 2 for a, b in zip(ENDPOINTS, ENDPOINTS[1:]))
+    points = data.draw(st.lists(st.sampled_from(ENDPOINTS + middles), max_size=12))
+    line = make_adapter("rational-line")
+    scanned = _scanned_hosts(line, points, regions)
+    assert line.point_hosts(points, regions) == scanned
+
+
+@settings(derandomize=True, max_examples=300)
+@given(
+    st.lists(
+        st.lists(st.text("01", max_size=5), max_size=3).map(cantor_region),
+        max_size=6,
+    ),
+    st.lists(st.text("01", max_size=8), max_size=12),
+)
+def test_cantor_point_hosts_match_a_scan(regions, words):
+    cantor = make_adapter("cantor")
+    assert cantor.point_hosts(words, regions) == _scanned_hosts(
+        cantor, words, regions
+    )
+
+
 # -- parsing and formatting ---------------------------------------------------
 
 

@@ -35,7 +35,14 @@ from dyadicmeasure.errors import (
 )
 from dyadicmeasure.regions import cantor_region, interval
 from dyadicmeasure.scheduling import build_schedule
-from dyadicmeasure.stages import StageBuilder, StepRecord, decompose
+from dyadicmeasure.stages import (
+    Cell,
+    RingElement,
+    Stage,
+    StageBuilder,
+    StepRecord,
+    decompose,
+)
 
 
 @pytest.fixture(scope="module")
@@ -137,6 +144,52 @@ def test_probe_agreement_on_cantor_cells():
     region = cantor_region([""])
     element = decompose(region, stage)
     assert certs._probe_agreement(stage, region, element) == 1
+
+
+def _doctored_stage(adapter, regions):
+    """A stage whose cells 1..n are the given regions, overlapping or not."""
+    cells = {
+        cid: Cell(cid, region, DyadicMass.pow2(cid), "new_region", None, cid)
+        for cid, region in enumerate(regions, 1)
+    }
+    return Stage(len(regions), (), cells, ZERO, adapter)
+
+
+@pytest.mark.parametrize(
+    "name, region, cells",
+    [
+        ("rational-line", interval(0, 2), [interval(0, 2), interval(1, 2)]),
+        (
+            "cantor",
+            cantor_region([""]),
+            [cantor_region([""]), cantor_region(["0"])],
+        ),
+    ],
+)
+def test_probe_agreement_refuses_overlapping_cells(name, region, cells):
+    # the second cell lies inside the first: a probe in both has two hosts,
+    # which a host finder that dropped one would miss
+    stage = _doctored_stage(make_adapter(name), cells)
+    alone = RingElement(stage.index, frozenset({1}), frozenset())
+    assert certs._probe_agreement(stage, region, alone) >= 1
+    both = RingElement(stage.index, frozenset({1, 2}), frozenset())
+    with pytest.raises(InvariantViolation, match=r"in cells \[1, 2\] at once"):
+        certs._probe_agreement(stage, region, both)
+
+
+@pytest.mark.parametrize(
+    "name, region, cells, residue",
+    [
+        # probes 1/2 (in the cell), 1 (a residue point) and 3/2 (neither)
+        ("rational-line", interval(0, 2), [interval(0, 1)], {F(1)}),
+        ("cantor", cantor_region([""]), [cantor_region(["1"])], set()),
+    ],
+)
+def test_probe_agreement_refuses_a_probe_in_no_cell(name, region, cells, residue):
+    stage = _doctored_stage(make_adapter(name), cells)
+    element = RingElement(stage.index, frozenset({1}), frozenset(residue))
+    with pytest.raises(InvariantViolation, match="in no cell and no residue"):
+        certs._probe_agreement(stage, region, element)
 
 
 # -- decay --------------------------------------------------------------------

@@ -4,6 +4,7 @@ import json
 import os
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -593,19 +594,18 @@ def test_additivity_is_reported_before_consistency(
     _no_children_left()
 
 
-def test_side_that_fails_in_the_child_runs_again_inline(two_cpus):
-    # an error that is not the package's leaves the child without a
-    # result, so the caller sees it raised here, traceback and all
+def test_side_that_fails_in_the_child_delivers_nothing(two_cpus):
+    # the child leaves without a result, and side does not run here: the
+    # caller decides what runs in its place
     ran_here = []
 
     def side():
         ran_here.append(os.getpid())
         raise RuntimeError("side failed")
 
-    with pytest.raises(RuntimeError, match="side failed"):
-        cli._alongside(lambda: "main", side)
+    assert cli._alongside(lambda: "main", side) == ("main", None)
     assert len(two_cpus) == 1
-    assert ran_here == [os.getpid()]
+    assert ran_here == []
     _no_children_left()
 
 
@@ -616,11 +616,101 @@ def test_alongside_returns_both_results(two_cpus):
     _no_children_left()
 
 
-def test_alongside_runs_inline_when_fork_fails(monkeypatch, two_cpus):
+def test_alongside_delivers_nothing_when_fork_fails(monkeypatch, two_cpus):
     def no_process():
         raise BlockingIOError("no process to spare")
 
     monkeypatch.setattr(os, "fork", no_process)
-    assert cli._alongside(lambda: "main", os.getpid) == (
-        "main", os.getpid(),
-    )
+    assert cli._alongside(lambda: "main", os.getpid) == ("main", None)
+
+
+def test_alongside_delivers_nothing_on_one_cpu(one_cpu):
+    assert cli._alongside(lambda: "main", os.getpid) == ("main", None)
+
+
+# -- the sampled checks and their prefix guard ----------------------------------
+
+GOLDEN_VERIFY = Path(__file__).parent / "golden" / "verify-rational-line-d3.json"
+
+
+@pytest.fixture
+def sampled_here(monkeypatch):
+    """Record each run of the sampled checks in this process, not in a
+    forked child; yields the list of the traces they read."""
+    real, parent, traces = cli._sampled_checks, os.getpid(), []
+
+    def recorded(trace, seed):
+        if os.getpid() == parent:
+            traces.append(trace)
+        return real(trace, seed)
+
+    monkeypatch.setattr(cli, "_sampled_checks", recorded)
+    yield traces
+
+
+def _verify_d3(tmp_path):
+    out = tmp_path / "verify.json"
+    assert cli.main(["verify", "--depth", "3", "--out", str(out)]) == 0
+    return out.read_bytes()
+
+
+def test_forked_verify_samples_in_the_child_only(tmp_path, two_cpus, sampled_here):
+    assert _verify_d3(tmp_path) == GOLDEN_VERIFY.read_bytes()
+    assert len(two_cpus) == 1
+    assert sampled_here == []
+    _no_children_left()
+
+
+def test_child_prefix_that_disagrees_is_checked_again_inline(
+    tmp_path, monkeypatch, two_cpus, sampled_here
+):
+    # the child's prefix is one stream index off, and its reports are ones
+    # no check makes: the guard must drop them and check the built trace
+    real, parent = cli._sampled_checks, os.getpid()
+
+    def doctored(trace, seed):
+        prefix, reports = real(trace, seed)
+        if os.getpid() == parent:
+            return prefix, reports
+        return prefix[:-1] + (prefix[-1] + 1,), ["doctored"] * len(reports)
+
+    monkeypatch.setattr(cli, "_sampled_checks", doctored)
+    assert _verify_d3(tmp_path) == GOLDEN_VERIFY.read_bytes()
+    assert len(two_cpus) == 1
+    assert len(sampled_here) == 1 and len(sampled_here[0]) == 155
+    _no_children_left()
+
+
+def test_child_that_delivers_nothing_is_checked_again_inline(
+    tmp_path, monkeypatch, two_cpus, sampled_here
+):
+    def no_trace(adapter, depth, scan_cap):
+        raise RuntimeError("no early trace")
+
+    monkeypatch.setattr(cli, "_early_trace", no_trace)
+    assert _verify_d3(tmp_path) == GOLDEN_VERIFY.read_bytes()
+    assert len(two_cpus) == 1
+    assert len(sampled_here) == 1
+    _no_children_left()
+
+
+def test_one_cpu_verify_samples_the_built_trace(tmp_path, one_cpu, sampled_here):
+    assert _verify_d3(tmp_path) == GOLDEN_VERIFY.read_bytes()
+    assert len(sampled_here) == 1 and len(sampled_here[0]) == 155
+
+
+@pytest.mark.parametrize("cpus", ["one_cpu", "two_cpus"])
+def test_too_few_cells_is_reported_before_a_boundary_failure(
+    capsys, monkeypatch, request, cpus
+):
+    request.getfixturevalue(cpus)
+
+    def explode(schedule, trace, i):
+        raise ChainViolation("boom", stage=1, block=(i, 1))
+
+    monkeypatch.setattr(cli, "certify_boundary", explode)
+    code, out, err = run(capsys, "verify", "--adapter", "cantor", "--depth", "1")
+    assert code == 2
+    assert out == ""
+    assert "additivity sampling needs >= 2 cells, but stage 1 has 1" in err
+    _no_children_left()

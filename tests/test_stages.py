@@ -518,6 +518,28 @@ def test_decompose_refuses_a_line_region_on_a_cantor_stage():
         decompose(interval(0, 1), stage)
 
 
+def test_decompose_refuses_an_empty_cantor_region_on_a_line_stage(t1):
+    _, _, stages = t1
+    with pytest.raises(NotRepresentable, match="not a line region.*stage 3"):
+        decompose(cantor_region([]), stages[2])
+
+
+def test_decompose_refuses_an_empty_line_region_on_a_cantor_stage():
+    stage = _cantor_two_cells().snapshot()
+    with pytest.raises(NotRepresentable, match="not a Cantor region.*stage 2"):
+        decompose(line_region([]), stage)
+
+
+def test_decompose_of_an_empty_region_of_the_stage_space_is_empty(t1):
+    _, _, stages = t1
+    for region, stage in (
+        (line_region([]), stages[2]),
+        (cantor_region([]), _cantor_two_cells().snapshot()),
+    ):
+        element = decompose(region, stage)
+        assert element.is_empty and element.stage_index == stage.index
+
+
 # -- order invariants ---------------------------------------------------------
 
 
