@@ -727,25 +727,6 @@ class CantorSpace(SpaceAdapter):
         )
         return [p + "0" * (pad - len(p)) for p in words]
 
-    def point_hosts(
-        self, points: Sequence[object], regions: Sequence[object]
-    ) -> list[list[int]]:
-        # a word lies in a cylinder when the cylinder's prefix is one of
-        # the word's prefixes: look each of those up
-        holders: dict[str, list[int]] = {}
-        for n, region in enumerate(regions):
-            for p in region.prefixes:
-                holders.setdefault(p, []).append(n)
-        longest = max(map(len, holders), default=-1)
-        return [
-            sorted(
-                n
-                for end in range(min(len(x), longest) + 1)
-                for n in holders.get(x[:end], ())
-            )
-            for x in points
-        ]
-
 
 ADAPTERS = {
     RationalLine.name: RationalLine,

@@ -3,10 +3,10 @@
 Outputs are deterministic given the arguments: JSON is emitted with sorted
 keys and fixed indentation, every mass appears as an exact mantissa/scale
 pair, and all sampling is seeded.  ``verify`` runs its sampled checks
-(additivity, consistency, positivity) in a child forked before the build,
-on a shallower schedule whose stream starts like the requested one's,
-while this process builds and certifies, when the machine has a CPU to
-spare (``_alongside``); the output is the same either way.  Exit codes:
+(additivity, consistency, positivity) on a shallower schedule whose
+stream starts like the requested one's: in a child forked before the
+build when the machine has a CPU to spare, else here after it
+(``_alongside``); the output is the same either way.  Exit codes:
 0 on success, 2 for configuration problems (an unwritable ``--out`` among
 them), 3 when a verification suite finds a violation (a counterexample
 artifact is written in that case, or stderr says why it could not be).
@@ -144,11 +144,10 @@ def _fork_helps() -> bool:
 
 
 def _alongside(main, side):
-    """Return ``(main(), result)``: result is what side returned in a
-    forked child that ran while main ran here, or None when no child ran
-    (``_fork_helps`` is false or the fork failed) or it delivered nothing
-    (side raised, or the child was killed).  The caller then runs what
-    it needs of side here.
+    """Return ``(main(), side())``.  When ``_fork_helps`` holds, side runs
+    in a child forked before main, while main runs here; side runs here,
+    after main, when no child ran (the fork failed) or the child left
+    without a result (side raised, or the child was killed).
 
     The child inherits every object side reads, so only its result
     crosses the pipe, pickled, and the child leaves through ``os._exit``:
@@ -156,7 +155,7 @@ def _alongside(main, side):
     always reaped, and killed first when main raises.
     """
     if not _fork_helps():
-        return main(), None
+        return main(), side()
     import pickle  # only a forking verify needs it: 0.4 MB of RSS
 
     read_end, write_end = os.pipe()
@@ -165,7 +164,7 @@ def _alongside(main, side):
     except OSError:  # no process to spare
         os.close(read_end)
         os.close(write_end)
-        return main(), None
+        return main(), side()
     if pid == 0:
         code = 1
         try:
@@ -186,7 +185,7 @@ def _alongside(main, side):
         finally:
             data = inp.read()
             status = os.waitpid(pid, 0)[1]
-    return here, pickle.loads(data) if status == 0 else None
+    return here, pickle.loads(data) if status == 0 else side()
 
 
 def _attempt(check, *args, **kwargs):
@@ -207,11 +206,21 @@ def _sampled_prefix(trace) -> tuple[int, ...]:
     return tuple(h.index for h in trace.stream[:SAMPLED_STAGES])
 
 
-def _sampled_checks(trace, seed: int) -> tuple[tuple[int, ...], list]:
-    """The indices of the stream prefix these checks read, and the
-    additivity, consistency and positivity reports, each as JSON or as
-    the package error it raised.  Raises ConfigError when the last stage
-    of the prefix has fewer than two cells."""
+def _sampled_checks(
+    adapter, depth: int, scan_cap: int, seed: int
+) -> tuple[tuple[int, ...], list]:
+    """Sample the shallowest schedule, at most depth deep, whose stream has
+    SAMPLED_STAGES stages: a schedule's stream is a prefix of every deeper
+    one's, so these are the stages depth's own stream starts with.
+
+    Returns the indices of that stream prefix and the additivity,
+    consistency and positivity reports, each as JSON or as the package
+    error it raised.  Raises ConfigError when the last stage of the prefix
+    has fewer than two cells."""
+    for shallow in range(1, depth + 1):
+        _, trace = build_schedule(adapter, shallow, scan_cap)
+        if len(trace) >= SAMPLED_STAGES:
+            break
     replayed = list(trace.stages(min(SAMPLED_STAGES, len(trace))))
     sampled = replayed[-1]
     if len(sampled.cells) < 2:
@@ -222,20 +231,8 @@ def _sampled_checks(trace, seed: int) -> tuple[tuple[int, ...], list]:
     return _sampled_prefix(trace), [
         _attempt(check_additivity, sampled, 1000, seed=seed),
         _attempt(check_consistency, replayed[:8], 50, seed=seed),
-        _attempt(check_positivity, trace.adapter, 50),
+        _attempt(check_positivity, adapter, 50),
     ]
-
-
-def _early_trace(adapter, depth: int, scan_cap: int):
-    """The trace of the shallowest schedule, at most depth deep, whose
-    stream has SAMPLED_STAGES stages: a schedule's stream is a prefix of
-    every deeper one's, so the sampled checks read the same stages on it
-    as on depth's own."""
-    for shallow in range(1, depth + 1):
-        _, trace = build_schedule(adapter, shallow, scan_cap)
-        if len(trace) >= SAMPLED_STAGES:
-            break
-    return trace
 
 
 def _certify(schedule, trace, depth: int) -> dict:
@@ -261,22 +258,21 @@ def _cmd_verify(args: argparse.Namespace) -> dict:
         schedule, trace = build_schedule(adapter, args.depth, args.scan_cap)
         return trace, _attempt(_certify, schedule, trace, args.depth)
 
-    def sample_early():
-        trace = _early_trace(adapter, args.depth, args.scan_cap)
-        return _sampled_checks(trace, args.seed)
+    def sample():
+        return _sampled_checks(adapter, args.depth, args.scan_cap, args.seed)
 
-    # the child forks before the build and samples the stages of a
-    # shallower schedule, which the prefix guard holds to this one's
-    (trace, certified), sampled = _alongside(build_and_certify, sample_early)
-    if sampled is None or sampled[0] != _sampled_prefix(trace):
-        sampled = _sampled_checks(trace, args.seed)
+    (trace, certified), (prefix, sampled) = _alongside(build_and_certify, sample)
+    # a schedule's stream is a prefix of every deeper one's: a mismatch is
+    # a bug in the package, not a condition to recover from
+    built = _sampled_prefix(trace)
+    if prefix != built:
+        raise InvariantViolation(
+            f"the sampled checks read stream indices {prefix}, but the built "
+            f"stream starts {built}"
+        )
     # the serial order: too few cells (raised by _sampled_checks), boundary,
     # decay, conservation, additivity, consistency, positivity
-    if isinstance(certified, DyadicMeasureError):
-        raise certified
-    additivity, consistency, positivity = sampled[1]
-    reports = [certified["conservation"], additivity, consistency, positivity]
-    for report in reports:
+    for report in (certified, *sampled):
         if isinstance(report, DyadicMeasureError):
             raise report
     return {
@@ -286,7 +282,7 @@ def _cmd_verify(args: argparse.Namespace) -> dict:
         "seed": args.seed,
         "boundary_certificates": certified["certificates"],
         "max_decay": certified["decay"],
-        "reports": reports,
+        "reports": [certified["conservation"], *sampled],
     }
 
 

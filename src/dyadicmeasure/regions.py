@@ -72,9 +72,6 @@ class LineRegion:
         return f"LineRegion[{body}]"
 
 
-LINE_EMPTY = LineRegion(())
-
-
 def line_region(intervals: Iterable[tuple[Fraction, Fraction]]) -> LineRegion:
     """Build a canonical line region from arbitrary open intervals.
 
@@ -221,10 +218,6 @@ class CantorRegion:
             return "CantorRegion(empty)"
         body = ", ".join(repr(p) for p in self.prefixes)
         return f"CantorRegion[{body}]"
-
-
-CANTOR_EMPTY = CantorRegion(())
-CANTOR_ALL = CantorRegion(("",))
 
 
 def cantor_region(prefixes: Iterable[str]) -> CantorRegion:

@@ -594,18 +594,23 @@ def test_additivity_is_reported_before_consistency(
     _no_children_left()
 
 
-def test_side_that_fails_in_the_child_delivers_nothing(two_cpus):
-    # the child leaves without a result, and side does not run here: the
-    # caller decides what runs in its place
-    ran_here = []
+def test_side_that_fails_in_the_child_runs_again_here(two_cpus):
+    # the child leaves without a result, so side runs here, after main
+    parent, ran_here = os.getpid(), []
 
     def side():
-        ran_here.append(os.getpid())
-        raise RuntimeError("side failed")
+        if os.getpid() != parent:
+            raise RuntimeError("side failed in the child")
+        ran_here.append("side")
+        return "side"
 
-    assert cli._alongside(lambda: "main", side) == ("main", None)
+    def main():
+        ran_here.append("main")
+        return "main"
+
+    assert cli._alongside(main, side) == ("main", "side")
     assert len(two_cpus) == 1
-    assert ran_here == []
+    assert ran_here == ["main", "side"]
     _no_children_left()
 
 
@@ -616,19 +621,19 @@ def test_alongside_returns_both_results(two_cpus):
     _no_children_left()
 
 
-def test_alongside_delivers_nothing_when_fork_fails(monkeypatch, two_cpus):
+def test_alongside_runs_side_here_when_fork_fails(monkeypatch, two_cpus):
     def no_process():
         raise BlockingIOError("no process to spare")
 
     monkeypatch.setattr(os, "fork", no_process)
-    assert cli._alongside(lambda: "main", os.getpid) == ("main", None)
+    assert cli._alongside(lambda: "main", os.getpid) == ("main", os.getpid())
 
 
-def test_alongside_delivers_nothing_on_one_cpu(one_cpu):
-    assert cli._alongside(lambda: "main", os.getpid) == ("main", None)
+def test_alongside_runs_side_here_on_one_cpu(one_cpu):
+    assert cli._alongside(lambda: "main", os.getpid) == ("main", os.getpid())
 
 
-# -- the sampled checks and their prefix guard ----------------------------------
+# -- the sampled checks and their prefix invariant ------------------------------
 
 GOLDEN_VERIFY = Path(__file__).parent / "golden" / "verify-rational-line-d3.json"
 
@@ -636,16 +641,32 @@ GOLDEN_VERIFY = Path(__file__).parent / "golden" / "verify-rational-line-d3.json
 @pytest.fixture
 def sampled_here(monkeypatch):
     """Record each run of the sampled checks in this process, not in a
-    forked child; yields the list of the traces they read."""
-    real, parent, traces = cli._sampled_checks, os.getpid(), []
+    forked child; yields the list of the arguments of each run."""
+    real, parent, runs = cli._sampled_checks, os.getpid(), []
 
-    def recorded(trace, seed):
+    def recorded(*args):
         if os.getpid() == parent:
-            traces.append(trace)
-        return real(trace, seed)
+            runs.append(args)
+        return real(*args)
 
     monkeypatch.setattr(cli, "_sampled_checks", recorded)
-    yield traces
+    yield runs
+
+
+@pytest.fixture
+def built_here(monkeypatch):
+    """Record each schedule the command builds in this process, not in a
+    forked child; yields the list of their stream lengths."""
+    real, parent, lengths = cli.build_schedule, os.getpid(), []
+
+    def recorded(*args):
+        schedule, trace = real(*args)
+        if os.getpid() == parent:
+            lengths.append(len(trace))
+        return schedule, trace
+
+    monkeypatch.setattr(cli, "build_schedule", recorded)
+    yield lengths
 
 
 def _verify_d3(tmp_path):
@@ -661,42 +682,60 @@ def test_forked_verify_samples_in_the_child_only(tmp_path, two_cpus, sampled_her
     _no_children_left()
 
 
-def test_child_prefix_that_disagrees_is_checked_again_inline(
-    tmp_path, monkeypatch, two_cpus, sampled_here
+def test_child_prefix_that_disagrees_is_an_invariant_violation(
+    capsys, monkeypatch, two_cpus
 ):
-    # the child's prefix is one stream index off, and its reports are ones
-    # no check makes: the guard must drop them and check the built trace
+    # the child's prefix is one stream index off: that is a bug, not a
+    # condition to recover from, so nothing is sampled again here
     real, parent = cli._sampled_checks, os.getpid()
 
-    def doctored(trace, seed):
-        prefix, reports = real(trace, seed)
+    def doctored(*args):
+        prefix, reports = real(*args)
         if os.getpid() == parent:
-            return prefix, reports
-        return prefix[:-1] + (prefix[-1] + 1,), ["doctored"] * len(reports)
+            raise AssertionError("sampled in the command's process")
+        return prefix[:-1] + (prefix[-1] + 1,), reports
 
     monkeypatch.setattr(cli, "_sampled_checks", doctored)
-    assert _verify_d3(tmp_path) == GOLDEN_VERIFY.read_bytes()
+    code, out, err = run(capsys, "verify", "--depth", "3")
+    _, trace = build_schedule(make_adapter("rational-line"), 3)
+    built = tuple(h.index for h in trace.stream[: cli.SAMPLED_STAGES])
+    off = built[:-1] + (built[-1] + 1,)
+    assert code == 2
+    assert out == ""
+    assert err == (
+        f"error: the sampled checks read stream indices {off}, but the "
+        f"built stream starts {built}\n"
+    )
     assert len(two_cpus) == 1
-    assert len(sampled_here) == 1 and len(sampled_here[0]) == 155
     _no_children_left()
 
 
-def test_child_that_delivers_nothing_is_checked_again_inline(
-    tmp_path, monkeypatch, two_cpus, sampled_here
+def test_child_that_leaves_without_a_result_is_sampled_here(
+    tmp_path, monkeypatch, two_cpus, sampled_here, built_here
 ):
-    def no_trace(adapter, depth, scan_cap):
-        raise RuntimeError("no early trace")
+    real, parent = cli._sampled_checks, os.getpid()
 
-    monkeypatch.setattr(cli, "_early_trace", no_trace)
+    def no_result(*args):
+        if os.getpid() != parent:
+            os._exit(1)
+        return real(*args)
+
+    monkeypatch.setattr(cli, "_sampled_checks", no_result)
     assert _verify_d3(tmp_path) == GOLDEN_VERIFY.read_bytes()
     assert len(two_cpus) == 1
     assert len(sampled_here) == 1
+    # the depth-3 build, then side's shallow builds, all here
+    assert built_here == [155, 8, 26]
     _no_children_left()
 
 
-def test_one_cpu_verify_samples_the_built_trace(tmp_path, one_cpu, sampled_here):
+def test_one_cpu_verify_samples_the_shallow_trace(
+    tmp_path, one_cpu, sampled_here, built_here
+):
     assert _verify_d3(tmp_path) == GOLDEN_VERIFY.read_bytes()
-    assert len(sampled_here) == 1 and len(sampled_here[0]) == 155
+    assert len(sampled_here) == 1
+    # line depth 1 has 8 stages, depth 2 the 26 that reach stage 12
+    assert built_here == [155, 8, 26]
 
 
 @pytest.mark.parametrize("cpus", ["one_cpu", "two_cpus"])

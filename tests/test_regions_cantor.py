@@ -13,8 +13,7 @@ from hypothesis import strategies as st
 
 from dyadicmeasure.errors import InvariantViolation
 from dyadicmeasure.regions import (
-    CANTOR_ALL,
-    CANTOR_EMPTY,
+    CantorRegion,
     cantor_closure_strictly_inside,
     cantor_contains_point,
     cantor_meet,
@@ -35,15 +34,15 @@ def expand(region, depth):
 
 def test_canonicalize_merges_siblings():
     assert cantor_region(["00", "01"]) == cantor_region(["0"])
-    assert cantor_region(["00", "01", "10", "11"]) == CANTOR_ALL
+    assert cantor_region(["00", "01", "10", "11"]) == CantorRegion(("",))
     assert cantor_region(["0", "00"]) == cantor_region(["0"])
 
 
 def test_canonicalize_cascades():
     # sibling merge exposes another merge
-    assert cantor_region(["000", "001", "01", "1"]) == CANTOR_ALL
-    assert cantor_region(["0", "100", "101", "11"]) == CANTOR_ALL
-    assert cantor_region(["1", "011", "010", "00"]) == CANTOR_ALL
+    assert cantor_region(["000", "001", "01", "1"]) == CantorRegion(("",))
+    assert cantor_region(["0", "100", "101", "11"]) == CantorRegion(("",))
+    assert cantor_region(["1", "011", "010", "00"]) == CantorRegion(("",))
     assert cantor_region(["0110", "0111", "010", "1"]) == cantor_region(
         ["01", "1"]
     )
@@ -71,7 +70,7 @@ def test_subset_and_strictly_inside():
     assert cantor_closure_strictly_inside(cantor_region(["01"]), cantor_region(["0"]))
     # equality is not strict
     assert not cantor_closure_strictly_inside(cantor_region(["0"]), cantor_region(["0"]))
-    assert not cantor_closure_strictly_inside(cantor_region(["0"]), CANTOR_EMPTY)
+    assert not cantor_closure_strictly_inside(cantor_region(["0"]), CantorRegion(()))
 
 
 def test_contains_point_needs_long_words():

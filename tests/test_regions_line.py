@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from dyadicmeasure.errors import InvariantViolation
 from dyadicmeasure.regions import (
-    LINE_EMPTY,
+    LineRegion,
     interval,
     line_boundary_points,
     line_closure_strictly_inside,
@@ -78,15 +78,15 @@ def test_subset_respects_touching_gap():
     two = line_region([(F(0), F(1)), (F(1), F(2))])
     assert not line_subset(interval(0, 2), two)
     assert line_subset(interval(0, 1), two)
-    assert line_subset(LINE_EMPTY, two)
+    assert line_subset(LineRegion(()), two)
 
 
 def test_closure_strictly_inside():
     assert line_closure_strictly_inside(interval(1, 2), interval(0, 3))
     assert not line_closure_strictly_inside(interval(0, 2), interval(0, 3))
     assert not line_closure_strictly_inside(interval(0, 3), interval(1, 2))
-    assert not line_closure_strictly_inside(interval(0, 1), LINE_EMPTY)
-    assert line_closure_strictly_inside(LINE_EMPTY, interval(0, 1))
+    assert not line_closure_strictly_inside(interval(0, 1), LineRegion(()))
+    assert line_closure_strictly_inside(LineRegion(()), interval(0, 1))
 
 
 def test_contains_point_is_open():
