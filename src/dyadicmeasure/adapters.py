@@ -60,11 +60,10 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
 from math import isqrt
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     DuplicateInsertion,
@@ -96,8 +95,7 @@ from .stages import Stage, _CantorCells, _CellIndex, _LineCells, line_key
 DEFAULT_SCAN_CAP = 10**6
 
 
-@dataclass(frozen=True, slots=True)
-class BasisHandle:
+class BasisHandle(NamedTuple):
     """An enumerated basis element: its 1-based index and its region."""
 
     index: int
@@ -238,9 +236,11 @@ class SpaceAdapter:
         return type(self)(injected=tuple(regions))
 
     def enumerate(self, index: int) -> BasisHandle:
+        handles = self._handles
+        if 0 < index <= len(handles):
+            return handles[index - 1]
         if index < 1:
             raise InvariantViolation(f"basis indices start at 1, got {index}")
-        handles = self._handles
         while len(handles) < index:
             self._canonical_cursor += 1
             candidate = self._canonical_value(self._canonical_cursor)
@@ -674,7 +674,7 @@ class CantorSpace(SpaceAdapter):
             )
 
     def _canonical_value(self, k: int) -> object:
-        return cantor_region((bin(k)[3:],))
+        return CantorRegion((bin(k)[3:],))
 
     def _canonical_index(self, region: object) -> int:
         return int("1" + region.prefixes[0], 2)

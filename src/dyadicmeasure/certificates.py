@@ -462,13 +462,17 @@ def check_consistency(
 
     Meant for short stage sequences; the work is quadratic in their
     number.  Raises ConsistencyViolation (from kappa_lifted) when any
-    sampled mass moves, and ConfigError for no stages or a count below 1.
+    sampled mass moves, ConfigError for no stages or a count below 1, and
+    EmptyStage for a stage with no cells.
     """
     if per_stage < 1:
         raise ConfigError(f"per_stage must be >= 1, got {per_stage}")
     stages = sorted(stages, key=lambda s: s.index)
     if not stages:
         raise ConfigError("consistency needs at least one stage")
+    for stage in stages:
+        if not stage.cells:
+            raise EmptyStage(f"stage {stage.index} has no cells")
     rng = random.Random(seed)
     checked = 0
     for stage in stages:

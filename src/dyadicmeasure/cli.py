@@ -147,7 +147,8 @@ def _alongside(main, side):
     """Return ``(main(), side())``.  When ``_fork_helps`` holds, side runs
     in a child forked before main, while main runs here; side runs here,
     after main, when no child ran (the fork failed) or the child left
-    without a result (side raised, or the child was killed).
+    without a result (side raised, or the child was killed).  A side that
+    returns the errors it expects, as verify's does, is run once.
 
     The child inherits every object side reads, so only its result
     crosses the pipe, pickled, and the child leaves through ``os._exit``:
@@ -259,9 +260,18 @@ def _cmd_verify(args: argparse.Namespace) -> dict:
         return trace, _attempt(_certify, schedule, trace, args.depth)
 
     def sample():
-        return _sampled_checks(adapter, args.depth, args.scan_cap, args.seed)
+        # a package error is side's result, so a forked child sends it back
+        try:
+            return _sampled_checks(adapter, args.depth, args.scan_cap, args.seed)
+        except DyadicMeasureError as exc:
+            return exc
 
-    (trace, certified), (prefix, sampled) = _alongside(build_and_certify, sample)
+    (trace, certified), side = _alongside(build_and_certify, sample)
+    # the serial order: too few cells (raised by _sampled_checks), boundary,
+    # decay, conservation, additivity, consistency, positivity
+    if isinstance(side, DyadicMeasureError):
+        raise side
+    prefix, sampled = side
     # a schedule's stream is a prefix of every deeper one's: a mismatch is
     # a bug in the package, not a condition to recover from
     built = _sampled_prefix(trace)
@@ -270,8 +280,6 @@ def _cmd_verify(args: argparse.Namespace) -> dict:
             f"the sampled checks read stream indices {prefix}, but the built "
             f"stream starts {built}"
         )
-    # the serial order: too few cells (raised by _sampled_checks), boundary,
-    # decay, conservation, additivity, consistency, positivity
     for report in (certified, *sampled):
         if isinstance(report, DyadicMeasureError):
             raise report

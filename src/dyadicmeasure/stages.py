@@ -17,9 +17,11 @@ Mass bookkeeping follows the halving rules exactly:
 The geometry of each space sits behind the cell index its adapter class
 names as ``cell_index``: ``_LineCells`` or ``_CantorCells``.  An index owns
 the cell regions and ids: ``refine`` splits the cells a new set splits and
-carves the set outside the closure of everything inserted before, in the
-one walk (``carve``) that also records the set's closure; ``locate_host``
-finds hole hosts and ``decompose`` writes regions as whole cells.
+carves the set outside the closure of everything inserted before.  The
+line refines in three steps, the last of them one walk (``carve``) that
+also records the set's closure; Cantor space refines in one walk up from
+the new cylinder to the cell holding it, if any.  ``locate_host`` finds
+hole hosts and ``decompose`` writes regions as whole cells.
 ``StageBuilder`` keeps the masses over its index; ``snapshot`` returns an
 immutable ``Stage``, which builds an index from its own cells when
 ``decompose`` first needs one, holding only what ``decompose`` reads, and
@@ -32,7 +34,7 @@ from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter, or_, sub
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .dyadic import DyadicMass, ZERO, dyadic_sum
 from .errors import (
@@ -45,7 +47,6 @@ from .errors import (
 from .regions import (
     CantorRegion,
     LineRegion,
-    cantor_meet,
     cantor_minus,
     cantor_region,
     line_minus_closure,  # unused here: the benchmark tracer patches this name
@@ -57,8 +58,7 @@ if TYPE_CHECKING:
 Signature = tuple[bool, ...]
 
 
-@dataclass(frozen=True, slots=True)
-class Cell:
+class Cell(NamedTuple):
     """One signature class: a region with its dyadic mass and provenance.
 
     ``kind`` is how the cell was born: "root" (the first insertion),
@@ -75,8 +75,7 @@ class Cell:
     birth_stage: int
 
 
-@dataclass(frozen=True, slots=True)
-class StepRecord:
+class StepRecord(NamedTuple):
     """Exact mass accounting for one insertion, kept for long traces."""
 
     position: int
@@ -332,16 +331,19 @@ class _SpanIndex:
 class _CellIndex:
     """Cell regions by id, refined one inserted set at a time.
 
-    Subclasses file new cells (``add``, or a ``_spawn`` of their own) and
-    refine in three steps: find the cells a new set splits
-    (``split_cells``), refile each as its pieces inside and outside the set
-    (``_split``), and carve the set's fresh part outside the closures of
-    the sets inserted before, recording its own closure as they are walked
-    (``carve``).  Only an index that starts empty refines; one built from a
-    stage's cells keeps what ``decompose`` reads.  It holds regions and ids,
-    never an adapter, so a stage, a builder or a line stream that keeps one
-    forms no reference cycle with its adapter and is freed by reference
-    counting once dropped.
+    Subclasses file new cells (``add``, or a ``_spawn`` of their own).
+    The line's index refines in the three steps of ``refine`` here: find
+    the cells a new set splits (``split_cells``), refile each as its pieces
+    inside and outside the set (``_split``), and carve the set's fresh part
+    outside the closures of the sets inserted before, recording its own
+    closure as they are walked (``carve``).  Cantor space's overrides
+    ``refine``: one walk up from the new cylinder finds the cell holding
+    it, which settles all three steps, and only when none does it walks
+    down to the keys under the cylinder.  Only an index that starts empty
+    refines; one built from a stage's cells keeps what ``decompose`` reads.
+    It holds regions and ids, never an adapter, so a stage, a builder or a
+    line stream that keeps one forms no reference cycle with its adapter
+    and is freed by reference counting once dropped.
     """
 
     def __init__(self, regions: dict[int, object]):
@@ -622,7 +624,8 @@ class _CantorCells(_CellIndex):
     populated: filing a key walks up only until it meets a populated word.
     Walking up from w, the first word in the dict decides: a key holds w,
     and a populated word means no key does; walking down from w through
-    populated words reaches exactly the keys under w.
+    populated words reaches exactly the keys under w.  ``refine`` walks up
+    from a new cylinder once, and down only when no key holds it.
     """
 
     def __init__(self, regions: dict[int, CantorRegion]):
@@ -668,24 +671,43 @@ class _CantorCells(_CellIndex):
                 stack += (u + "1", u + "0")
         return out
 
-    def split_cells(self, region: CantorRegion) -> list[int]:
-        """Ids of the cells the insertion of cylinder w splits, ascending.
+    def refine(self, region: CantorRegion) -> tuple[list, int | None]:
+        """``_CellIndex.refine`` for cylinder w, in one walk up from w.
 
-        A cell splits exactly when one of its prefixes is a proper prefix
-        of w, or when it has one prefix under w and another prefix that is
-        not under w.  A cell holding a prefix of w contains the cylinder w
-        and is the only cell meeting it; it splits unless it is w itself.
+        A cell holding a prefix of w contains the cylinder w, so it is the
+        only cell w meets: it splits into w and the rest unless it is w,
+        and nothing is fresh.  Otherwise no prefix of a cell is a proper
+        prefix of w, so a cell with a key under w splits into its prefixes
+        under w and the others, if it has any, and the fresh part is w
+        minus the keys under it.  A split's pieces file keys at or under
+        each key it drops, which re-marks it as a key or as populated.
         """
         w = region.prefixes[0]
         cid = self._holder(w)
         if cid is not None:
-            return [] if self.regions[cid].prefixes == (w,) else [cid]
-        meeting = {self._members[key] for key in self._under(w)}
-        return sorted(
-            cid
-            for cid in meeting
-            if not all(p.startswith(w) for p in self.regions[cid].prefixes)
-        )
+            cell = self.regions[cid]
+            if cell.prefixes == (w,):
+                return [], None
+            del self.regions[cid]
+            inside = self._spawn(region)
+            return [(cid, inside, self._spawn(cantor_minus(cell, region)))], None
+        under = self._under(w)
+        if not under:
+            return [], self._spawn(region)
+        splits = []
+        for old in sorted({self._members[key] for key in under}):
+            prefixes = self.regions[old].prefixes
+            outside = tuple(p for p in prefixes if not p.startswith(w))
+            if outside:
+                del self.regions[old]
+                inside = tuple(p for p in prefixes if p.startswith(w))
+                splits.append((
+                    old,
+                    self._spawn(CantorRegion(inside)),
+                    self._spawn(CantorRegion(outside)),
+                ))
+        fresh = cantor_minus(region, CantorRegion(tuple(under)))
+        return splits, None if fresh.is_empty else self._spawn(fresh)
 
     def locate_host(self, region: CantorRegion) -> int | None:
         w = region.prefixes[0]
@@ -693,23 +715,6 @@ class _CantorCells(_CellIndex):
         if cid is None or self.regions[cid].prefixes == (w,):
             return None
         return cid
-
-    def _split(self, old: int, region: CantorRegion) -> tuple[int, int]:
-        cell = self.regions.pop(old)
-        # the two pieces file keys at or under each old key, so filing them
-        # re-marks it as a key of a piece or as populated
-        return (
-            self._spawn(cantor_meet(cell, region)),
-            self._spawn(cantor_minus(cell, region)),
-        )
-
-    def carve(self, region: CantorRegion) -> CantorRegion:
-        """w minus the inserted cylinders, whose union the clopen cells make up."""
-        w = region.prefixes[0]
-        if self._holder(w) is not None:
-            return CantorRegion(())
-        under = self._under(w)
-        return cantor_minus(region, CantorRegion(tuple(under))) if under else region
 
     def decompose(self, region: CantorRegion, stage: Stage) -> RingElement:
         if not isinstance(region, CantorRegion):

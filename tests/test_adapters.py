@@ -88,9 +88,16 @@ def test_cantor_enumeration_head(cantor):
     ]
 
 
-def test_enumerate_rejects_nonpositive(line):
-    with pytest.raises(InvariantViolation):
-        line.enumerate(0)
+def test_enumerate_rejects_nonpositive(line, cantor):
+    """Refused before and after the cache holds handles, which a negative
+    index would otherwise read from the end."""
+    for adapter in (line, cantor):
+        for filled in (0, 5):
+            if filled:
+                adapter.enumerate(filled)
+            for index in (0, -1):
+                with pytest.raises(InvariantViolation, match="start at 1"):
+                    adapter.enumerate(index)
 
 
 def test_enumeration_is_injective(line, cantor):

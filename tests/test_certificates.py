@@ -1,6 +1,5 @@
 """Certified bounds: boundary chains, decay, additivity, partitions."""
 
-from dataclasses import replace
 from fractions import Fraction as F
 from types import SimpleNamespace
 
@@ -321,6 +320,13 @@ def test_consistency_of_no_stages_is_a_config_error():
         check_consistency([])
 
 
+def test_consistency_refuses_a_stage_with_no_cells():
+    """A stage with no cells has no element to sample, as for additivity."""
+    empty = StageBuilder(make_adapter("rational-line")).snapshot()
+    with pytest.raises(EmptyStage, match="stage 0 has no cells"):
+        check_consistency([empty], 5)
+
+
 # -- partitions ---------------------------------------------------------------
 
 
@@ -517,7 +523,7 @@ def test_positivity_flags_a_zero_mass_cell(monkeypatch):
             if stage.index >= 3:
                 inside = decompose(stage.inserted[-1].region, stage).open_cells
                 cid = min(set(stage.cells) - inside)
-                stage.cells[cid] = replace(stage.cells[cid], mass=ZERO)
+                stage.cells[cid] = stage.cells[cid]._replace(mass=ZERO)
             return stage
 
     monkeypatch.setattr(certs, "StageBuilder", ZeroingBuilder)

@@ -729,6 +729,25 @@ def test_child_that_leaves_without_a_result_is_sampled_here(
     _no_children_left()
 
 
+def test_child_config_error_is_raised_without_sampling_here(
+    capsys, tmp_path, monkeypatch, request, two_cpus, built_here
+):
+    # the child sends back its "< 2 cells" ConfigError, so this process
+    # builds the depth-1 schedule once, for the certificates, and samples
+    # nothing; exit code and stderr match the run on one CPU
+    monkeypatch.chdir(tmp_path)
+    argv = ("verify", "--adapter", "cantor", "--depth", "1")
+    forked = run(capsys, *argv)
+    assert len(two_cpus) == 1
+    assert built_here == [1]
+    _no_children_left()
+    request.getfixturevalue("one_cpu")
+    assert run(capsys, *argv) == forked
+    assert forked[:2] == (2, "")
+    assert "additivity sampling needs >= 2 cells" in forked[2]
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_one_cpu_verify_samples_the_shallow_trace(
     tmp_path, one_cpu, sampled_here, built_here
 ):
