@@ -90,7 +90,7 @@ from .regions import (
     line_subset,
     line_union,
 )
-from .stages import Stage, _CantorCells, _CellIndex, _LineCells, line_key
+from .stages import Stage, _CantorCells, _LineCells, line_key
 
 DEFAULT_SCAN_CAP = 10**6
 
@@ -190,7 +190,7 @@ class SpaceAdapter:
     """
 
     name: str = ""
-    cell_index: type[_CellIndex]  # the stage engine's index of this space
+    cell_index: type  # the stage engine's index of this space
     # deepest schedule that builds in seconds (README "Depth guidance");
     # None for no stated limit
     practical_depth: int | None = None

@@ -57,7 +57,7 @@ def _make_adapter(args: argparse.Namespace):
         try:
             with open(basis_file, "r", encoding="utf-8") as fh:
                 lines = fh.readlines()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read basis file: {exc}") from exc
         probe = make_adapter(args.adapter)
         for line in lines:

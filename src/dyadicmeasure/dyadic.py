@@ -42,14 +42,6 @@ class DyadicMass:
     # -- constructors ----------------------------------------------------
 
     @classmethod
-    def zero(cls) -> "DyadicMass":
-        return cls(0, 0)
-
-    @classmethod
-    def one(cls) -> "DyadicMass":
-        return cls(1, 0)
-
-    @classmethod
     def pow2(cls, k: int) -> "DyadicMass":
         """2**-k for k >= 0."""
         if k < 0:
@@ -144,8 +136,8 @@ def _digits(n: int) -> str:
         return hex(n)
 
 
-ZERO = DyadicMass.zero()
-ONE = DyadicMass.one()
+ZERO = DyadicMass(0, 0)
+ONE = DyadicMass(1, 0)
 
 
 def dyadic_sum(masses) -> DyadicMass:

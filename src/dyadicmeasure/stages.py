@@ -21,7 +21,10 @@ carves the set outside the closure of everything inserted before.  The
 line refines in three steps, the last of them one walk (``carve``) that
 also records the set's closure; Cantor space refines in one walk up from
 the new cylinder to the cell holding it, if any.  ``locate_host`` finds
-hole hosts and ``decompose`` writes regions as whole cells.
+hole hosts and ``decompose`` writes regions as whole cells.  An index
+holds regions and ids, never an adapter, so a stage, a builder or a line
+stream that keeps one forms no reference cycle with its adapter and is
+freed by reference counting once dropped.
 ``StageBuilder`` keeps the masses over its index; ``snapshot`` returns an
 immutable ``Stage``, which builds an index from its own cells when
 ``decompose`` first needs one, holding only what ``decompose`` reads, and
@@ -328,49 +331,7 @@ class _SpanIndex:
         return out
 
 
-class _CellIndex:
-    """Cell regions by id, refined one inserted set at a time.
-
-    Subclasses file new cells (``add``, or a ``_spawn`` of their own).
-    The line's index refines in the three steps of ``refine`` here: find
-    the cells a new set splits (``split_cells``), refile each as its pieces
-    inside and outside the set (``_split``), and carve the set's fresh part
-    outside the closures of the sets inserted before, recording its own
-    closure as they are walked (``carve``).  Cantor space's overrides
-    ``refine``: one walk up from the new cylinder finds the cell holding
-    it, which settles all three steps, and only when none does it walks
-    down to the keys under the cylinder.  Only an index that starts empty
-    refines; one built from a stage's cells keeps what ``decompose`` reads.
-    It holds regions and ids, never an adapter, so a stage, a builder or a
-    line stream that keeps one forms no reference cycle with its adapter
-    and is freed by reference counting once dropped.
-    """
-
-    def __init__(self, regions: dict[int, object]):
-        self.regions = regions
-        self.next_id = max(regions, default=0) + 1
-
-    def refine(self, region) -> tuple[list[tuple[int, int, int]], int | None]:
-        """Split the cells region splits and carve its fresh part.
-
-        Returns ``(old, inside, outside)`` ids per split cell, ascending by
-        old id, then the fresh cell's id or None; new ids follow that order.
-        """
-        splits = []
-        for old in self.split_cells(region):
-            splits.append((old, *self._split(old, region)))
-        fresh = self.carve(region)
-        return splits, None if fresh.is_empty else self._spawn(fresh)
-
-    def _spawn(self, region) -> int:
-        cid = self.next_id
-        self.next_id += 1
-        self.regions[cid] = region
-        self.add(cid, region)
-        return cid
-
-
-class _LineCells(_CellIndex):
+class _LineCells:
     """Cell index of the rational line.
 
     Every cell part is one mutable keyed entry ``[lo_h, lo_e, lo, hi_h, hi_e,
@@ -383,12 +344,11 @@ class _LineCells(_CellIndex):
     start ever goes away: a split shortens the entries that straddle the
     ends of the new interval in place, adds one entry per cut-off tail and
     relabels the cell's entries, and the list never loses an entry.  Cells
-    with two or more parts also sit in a ``_SpanIndex``, built when
-    ``split_cells`` first needs it.  The closures of the inserted intervals
-    are kept merged, as a sorted list of disjoint closed intervals
-    ``[lo_h, lo_e, lo, hi_h, hi_e, hi]``, and ``carve`` reads the gaps
-    between those that meet a new interval and merges them with its closure
-    in the same walk.
+    with two or more parts also sit in a ``_SpanIndex``.  The closures of
+    the inserted intervals are kept merged, as a sorted list of disjoint
+    closed intervals ``[lo_h, lo_e, lo, hi_h, hi_e, hi]``, and ``carve``
+    reads the gaps between those that meet a new interval and merges them
+    with its closure in the same walk.
 
     Every comparison goes through the keys, which order exactly like the
     rationals.  A key of one float is not enough: the straddlers around 0
@@ -399,16 +359,29 @@ class _LineCells(_CellIndex):
     """
 
     def __init__(self, regions: dict[int, LineRegion]):
-        super().__init__(regions)
+        self.regions = regions
+        self.next_id = max(regions, default=0) + 1
         self._entries: dict[int, tuple] = {}
         self._parts = sorted(
             list(_line_entry(lo, hi, cid))
             for cid, region in regions.items()
             for lo, hi in region.parts
         )
-        self._spans: _SpanIndex | None = None  # cells with two or more parts
+        self._spans = _SpanIndex()  # cells with two or more parts
         self._closures: list[list] = []
-        self._ends_of: tuple = (None, None, None)
+
+    def refine(self, region: LineRegion) -> tuple[list, int | None]:
+        """Split the cells interval (a, b) splits and carve its fresh part.
+
+        Returns ``(old, inside, outside)`` ids per split cell, ascending by
+        old id, then the fresh cell's id or None; new ids follow that order.
+        The three steps take the keys of a and b, made here once.
+        """
+        a, b = region.parts[0]
+        ka, kb = [*line_key(a)], [*line_key(b)]
+        splits = [(old, *self._split(old, ka, kb)) for old in self.split_cells(ka, kb)]
+        fresh = self.carve(ka, kb)
+        return splits, None if fresh.is_empty else self._spawn(fresh)
 
     def _spawn(self, region: LineRegion) -> int:
         entries = [list(_line_entry(lo, hi, 0)) for lo, hi in region.parts]
@@ -425,27 +398,12 @@ class _LineCells(_CellIndex):
             entry[6] = cid
         self._entries[cid] = entries = tuple(entries)
         self.regions[cid] = LineRegion(tuple((e[2], e[5]) for e in entries))
-        if self._spans is not None and len(entries) > 1:
+        if len(entries) > 1:
             self._spans.add(_span_entry(entries))
         return cid
 
-    def _ends(self, region: LineRegion) -> tuple[list, list]:
-        """Keys of the endpoints of a new interval, kept for its refinement."""
-        if self._ends_of[0] is not region:
-            a, b = region.parts[0]
-            self._ends_of = (region, [*line_key(a)], [*line_key(b)])
-        return self._ends_of[1], self._ends_of[2]
-
-    def _span_index(self) -> _SpanIndex:
-        if self._spans is None:
-            self._spans = _SpanIndex()
-            for entries in self._entries.values():
-                if len(entries) > 1:
-                    self._spans.add(_span_entry(entries))
-        return self._spans
-
-    def split_cells(self, region: LineRegion) -> list[int]:
-        """Ids of the cells the insertion of region splits, ascending.
+    def split_cells(self, ka: list, kb: list) -> list[int]:
+        """Ids of the cells that inserting (a, b) splits, ascending.
 
         These are the cells meeting the new interval (a, b) that also have
         points outside [a, b].  Such a cell has a part straddling a or b,
@@ -457,7 +415,6 @@ class _LineCells(_CellIndex):
         inside a wide interval, though not bounded by the cells it returns.
         """
         seen: set[int] = set()
-        ka, kb = self._ends(region)
         parts = self._parts
         start = bisect_left(parts, ka)
         stop = bisect_left(parts, kb)
@@ -469,10 +426,9 @@ class _LineCells(_CellIndex):
         if stop > start:
             if parts[stop - 1][3:6] > kb:
                 seen.add(parts[stop - 1][6])  # straddles b
-            a, b = region.parts[0]
-            spans = self._span_index()
+            a, b = ka[2], kb[2]
             for key in (ka, kb):
-                for cid in spans.stab(tuple(key)):
+                for cid in self._spans.stab(tuple(key)):
                     if cid in seen:
                         continue
                     cell_parts = self.regions[cid].parts
@@ -483,7 +439,7 @@ class _LineCells(_CellIndex):
                         seen.add(cid)
         return sorted(seen)
 
-    def _split(self, old: int, region: LineRegion) -> tuple[int, int]:
+    def _split(self, old: int, ka: list, kb: list) -> tuple[int, int]:
         """Refile cell old as two cells, its parts inside (a, b) and outside
         [a, b], and return their ids.
 
@@ -495,10 +451,9 @@ class _LineCells(_CellIndex):
         """
         del self.regions[old]
         entries = self._entries.pop(old)
-        if self._spans is not None and len(entries) > 1:
+        if len(entries) > 1:
             # the span entry holds the keys the cuts are about to change
             self._spans.remove(_span_entry(entries))
-        ka, kb = self._ends(region)
         parts = self._parts
         inside: list = []
         outside: list = []
@@ -528,10 +483,9 @@ class _LineCells(_CellIndex):
             return entry[6]
         return None
 
-    def carve(self, region: LineRegion) -> LineRegion:
-        """Region minus the closures, in the one walk that merges them with
+    def carve(self, ka: list, kb: list) -> LineRegion:
+        """(a, b) minus the closures, in the one walk that merges them with
         [a, b] where they meet or touch it; only the first starts before a."""
-        ka, kb = self._ends(region)
         closures = self._closures
         first = idx = bisect_left(closures, ka)
         if idx > 0 and closures[idx - 1][3:6] >= ka:
@@ -612,7 +566,7 @@ class _LineCells(_CellIndex):
         return RingElement(stage.index, frozenset(visits), frozenset(residue))
 
 
-class _CantorCells(_CellIndex):
+class _CantorCells:
     """Cell index of Cantor space.
 
     One dict takes every prefix of every cell to its cell id, and every
@@ -629,10 +583,18 @@ class _CantorCells(_CellIndex):
     """
 
     def __init__(self, regions: dict[int, CantorRegion]):
-        super().__init__(regions)
+        self.regions = regions
+        self.next_id = max(regions, default=0) + 1
         self._members: dict[str, int] = {}
         for cid, region in regions.items():
             self.add(cid, region)
+
+    def _spawn(self, region: CantorRegion) -> int:
+        cid = self.next_id
+        self.next_id += 1
+        self.regions[cid] = region
+        self.add(cid, region)
+        return cid
 
     def add(self, cid: int, region: CantorRegion) -> None:
         members = self._members
@@ -672,15 +634,19 @@ class _CantorCells(_CellIndex):
         return out
 
     def refine(self, region: CantorRegion) -> tuple[list, int | None]:
-        """``_CellIndex.refine`` for cylinder w, in one walk up from w.
+        """Split the cells cylinder w splits and carve its fresh part, in
+        one walk up from w; returns what ``_LineCells.refine`` returns.
 
         A cell holding a prefix of w contains the cylinder w, so it is the
         only cell w meets: it splits into w and the rest unless it is w,
         and nothing is fresh.  Otherwise no prefix of a cell is a proper
         prefix of w, so a cell with a key under w splits into its prefixes
         under w and the others, if it has any, and the fresh part is w
-        minus the keys under it.  A split's pieces file keys at or under
-        each key it drops, which re-marks it as a key or as populated.
+        minus the keys under it.  Such a cell lies inside exactly the
+        inserted ancestors of w and outside every other inserted set, so
+        at most one cell has its signature and splits.  A split's pieces
+        file keys at or under each key it drops, which re-marks it as a key
+        or as populated.
         """
         w = region.prefixes[0]
         cid = self._holder(w)
@@ -695,17 +661,18 @@ class _CantorCells(_CellIndex):
         if not under:
             return [], self._spawn(region)
         splits = []
-        for old in sorted({self._members[key] for key in under}):
+        for old in {self._members[key] for key in under}:
             prefixes = self.regions[old].prefixes
             outside = tuple(p for p in prefixes if not p.startswith(w))
             if outside:
                 del self.regions[old]
                 inside = tuple(p for p in prefixes if p.startswith(w))
-                splits.append((
+                splits = [(
                     old,
                     self._spawn(CantorRegion(inside)),
                     self._spawn(CantorRegion(outside)),
-                ))
+                )]
+                break
         fresh = cantor_minus(region, CantorRegion(tuple(under)))
         return splits, None if fresh.is_empty else self._spawn(fresh)
 

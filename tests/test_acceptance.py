@@ -292,6 +292,13 @@ def test_cantor_streams_are_prefixes_of_deeper_ones(cantor_d5):
         assert len(deep) > len(short) and deep[: len(short)] == short
 
 
+def test_cantor_depth5_splits_pinned(cantor_d5):
+    """2,047 splits over 4,094 insertions, never two in one insertion:
+    nested or disjoint cylinders split at most one cell each."""
+    splits = [rec.splits for rec in cantor_d5[2].records]
+    assert sum(splits) == 2047 and max(splits) == 1
+
+
 def test_line_depth5_outputs_pinned(line_d5, monkeypatch, tmp_path):
     adapter, schedule, trace, _ = line_d5
     # the schedule command prints the fixture's schedule instead of a rebuild

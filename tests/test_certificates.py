@@ -19,7 +19,7 @@ from dyadicmeasure.certificates import (
     fragmentation_level,
     to_json,
 )
-from dyadicmeasure.dyadic import ZERO, DyadicMass
+from dyadicmeasure.dyadic import ONE, ZERO, DyadicMass
 from dyadicmeasure.errors import (
     AdditivityViolation,
     ChainViolation,
@@ -215,7 +215,7 @@ def test_max_decay_rejects_bad_level(line_d3):
 
 def test_max_decay_violation_path(line_d3, monkeypatch):
     _, schedule, trace = line_d3
-    monkeypatch.setattr(certs, "max_cell_mass", lambda stage: DyadicMass.one())
+    monkeypatch.setattr(certs, "max_cell_mass", lambda stage: ONE)
     with pytest.raises(DecayViolation):
         certify_max_decay(schedule, trace, 2)
 
@@ -349,7 +349,7 @@ def test_partition_line(line_d3):
 
 def test_partition_trivial_epsilon(line_d3):
     _, schedule, trace = line_d3
-    cert = build_partition(schedule, trace, DyadicMass.one())
+    cert = build_partition(schedule, trace, ONE)
     assert cert.m == 1
     assert cert.stage_index == 8
     assert len(cert.pieces) == 9
@@ -386,7 +386,7 @@ def test_partition_cell_above_epsilon_names_stage_and_block(
 def test_partition_epsilon_must_be_positive(line_d3):
     _, schedule, trace = line_d3
     with pytest.raises(ConfigError):
-        build_partition(schedule, trace, DyadicMass.zero())
+        build_partition(schedule, trace, ZERO)
 
 
 def test_fragmentation_level_matches_the_least_level():

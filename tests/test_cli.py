@@ -348,6 +348,14 @@ def test_bad_basis_file_path(capsys):
     assert "cannot read basis file" in err
 
 
+def test_basis_file_that_is_not_utf8(capsys, tmp_path):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"(0,1)\n\xff\n")
+    code, _, err = run(capsys, "build", "--basis-file", str(path))
+    assert code == 2
+    assert "config error: cannot read basis file" in err
+
+
 def test_unwritable_out_path(capsys, tmp_path):
     target = tmp_path / "missing" / "x.json"
     code, out, err = run(capsys, "schedule", "--depth", "1", "--out", str(target))

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from dyadicmeasure.adapters import make_adapter
-from dyadicmeasure.dyadic import DyadicMass
+from dyadicmeasure.dyadic import ZERO, DyadicMass
 import dyadicmeasure.masses as masses
 from dyadicmeasure.errors import (
     ConsistencyViolation,
@@ -36,7 +36,7 @@ def test_mu_by_signature(t1):
     s3 = stages[2]
     assert mu(s3, (True, True, False)) == DyadicMass.pow2(2)
     assert mu(s3, (False, True, True)) == DyadicMass.pow2(3)
-    assert mu(s3, None) == DyadicMass.zero()
+    assert mu(s3, None) == ZERO
 
 
 def test_mu_unknown_signature(t1):
@@ -109,7 +109,7 @@ def test_max_cell_mass_empty_stage(t1):
         index=0,
         inserted=(),
         cells={},
-        total_mass=DyadicMass.zero(),
+        total_mass=ZERO,
         adapter=adapter,
     )
     with pytest.raises(EmptyStage):

@@ -31,7 +31,6 @@ from dyadicmeasure.stages import (
     RingElement,
     StageBuilder,
     _CantorCells,
-    _CellIndex,
     _LineCells,
     _line_entry,
     decompose,
@@ -656,14 +655,14 @@ def test_line_depth4_build_refines_what_it_reads(monkeypatch):
     the schedule has just noted, so the stream's index refines nothing.
     """
     calls = 0
-    original = _CellIndex.refine
+    original = _LineCells.refine
 
     def counting(self, region):
         nonlocal calls
         calls += 1
         return original(self, region)
 
-    monkeypatch.setattr(_CellIndex, "refine", counting)
+    monkeypatch.setattr(_LineCells, "refine", counting)
     adapter = make_adapter("rational-line")
     _, trace = build_schedule(adapter, 4)
     assert len(trace) == 1526
@@ -691,11 +690,11 @@ def test_line_depth4_build_refines_parts_in_place(monkeypatch):
         calls["split"] += in_split
         return original_key(x)
 
-    def counting_split(self, old, region):
+    def counting_split(self, old, ka, kb):
         nonlocal in_split
         in_split = True
         try:
-            return original_split(self, old, region)
+            return original_split(self, old, ka, kb)
         finally:
             in_split = False
 
@@ -732,7 +731,7 @@ def test_line_depth4_stage_index_holds_only_the_part_list():
     )
     assert stage._index._entries == {}
     assert stage._index._parts == expected
-    assert stage._index._spans is None
+    assert stage._index._spans._blocks == []
 
 
 def test_cantor_index_keeps_regions_and_one_dict():
