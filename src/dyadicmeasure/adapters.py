@@ -187,6 +187,8 @@ class SpaceAdapter:
     ``injected`` puts explicitly chosen basis elements at indices 1..n; the
     canonical order continues afterwards with injected values filtered out,
     so the full enumeration stays a bijection.
+
+    ``tests/test_adapter_laws.py`` is the contract an adapter must pass.
     """
 
     name: str = ""

@@ -182,11 +182,6 @@ def line_contains_point(x: LineRegion, p: Fraction) -> bool:
     return k >= 0 and x.parts[k][0] < p < x.parts[k][1]
 
 
-def line_boundary_points(x: LineRegion) -> tuple[Fraction, ...]:
-    """Topological boundary of a finite interval union: the endpoints."""
-    return tuple(sorted({p for part in x.parts for p in part}))
-
-
 # -- Cantor space ----------------------------------------------------------
 
 

@@ -1,4 +1,5 @@
-"""Basis enumeration adapters: ordering, injection, scans, parsing."""
+"""Basis enumeration adapters: examples that pin ordering, injection, scans
+and parsing.  The laws every adapter obeys are in ``test_adapter_laws.py``."""
 
 from fractions import Fraction as F
 
@@ -20,12 +21,12 @@ from dyadicmeasure.adapters import (
 from dyadicmeasure.errors import (
     DuplicateInsertion,
     InfeasibleCover,
-    InvariantViolation,
     NotABasisElement,
     ScanExhausted,
 )
 from dyadicmeasure.regions import cantor_region, interval, line_region
 from dyadicmeasure.stages import StageBuilder
+from test_adapter_laws import ENDPOINTS
 
 
 @pytest.fixture
@@ -88,18 +89,6 @@ def test_cantor_enumeration_head(cantor):
     ]
 
 
-def test_enumerate_rejects_nonpositive(line, cantor):
-    """Refused before and after the cache holds handles, which a negative
-    index would otherwise read from the end."""
-    for adapter in (line, cantor):
-        for filled in (0, 5):
-            if filled:
-                adapter.enumerate(filled)
-            for index in (0, -1):
-                with pytest.raises(InvariantViolation, match="start at 1"):
-                    adapter.enumerate(index)
-
-
 def test_enumeration_is_injective(line, cantor):
     seen = [line.enumerate(i).region for i in range(1, 121)]
     assert len(set(seen)) == 120
@@ -114,16 +103,6 @@ def test_index_of_inverts_enumerate(line, cantor, line_t1):
     )
     assert all(
         line_t1.index_of(line_t1.enumerate(i).region) == i for i in range(1, 101)
-    )
-
-
-def test_cantor_index_of_with_an_injected_prefix():
-    # the injected words also occur in the canonical order, so index_of
-    # must skip them there (the default SpaceAdapter._canonical_at_most)
-    words = [cantor_region([w]) for w in ("1", "01", "0110")]
-    cantor = make_adapter("cantor", injected=words)
-    assert all(
-        cantor.index_of(cantor.enumerate(k).region) == k for k in range(1, 301)
     )
 
 
@@ -281,20 +260,6 @@ def test_finite_subcover_scan_cap(line):
 
 # -- union_all ------------------------------------------------------------------
 
-# t +- (1 + nudge) * 2**-k: next to 1 these tie in float with 1 and with
-# each other past k = 53, and a nudge 54 or more bits further down ties the
-# error term of the key too, so only the exact term decides
-NEAR_TIES = tuple(
-    t + s * (1 + nudge) * F(1, 2**k)
-    for k in (1, 53, 54, 107, 600)
-    for t in (0, 1)
-    for s in (-1, 1)
-    for nudge in (0, F(1, 2**54), F(1, 2**120))
-)
-
-
-ENDPOINTS = NEAR_TIES + (F(-1), F(-1, 2), F(1, 2), F(3, 2), F(2))
-
 
 @st.composite
 def line_region_lists(draw):
@@ -324,13 +289,6 @@ def test_line_union_all_matches_line_region(regions):
 # -- point_hosts --------------------------------------------------------------
 
 
-def _scanned_hosts(adapter, points, regions):
-    return [
-        [n for n, r in enumerate(regions) if adapter.contains_point(r, x)]
-        for x in points
-    ]
-
-
 def test_point_hosts_count_overlapping_regions(line, cantor):
     regions = [interval(0, 2), interval(1, 3), line_region([(0, 1), (2, 3)])]
     points = [F(5, 2), F(3, 2), F(1), F(1, 2), F(4)]
@@ -338,33 +296,6 @@ def test_point_hosts_count_overlapping_regions(line, cantor):
     words = ["0110", "1", ""]
     regions = [cantor_region(["0"]), cantor_region([""]), cantor_region(["01"])]
     assert cantor.point_hosts(words, regions) == [[0, 1, 2], [1], [1]]
-
-
-@settings(derandomize=True, max_examples=200)
-@given(line_region_lists(), st.data())
-def test_line_point_hosts_match_a_scan(regions, data):
-    # the pool's points and the midpoints between them: ends of parts,
-    # points inside them and points in no part, repeats included
-    middles = tuple((a + b) / 2 for a, b in zip(ENDPOINTS, ENDPOINTS[1:]))
-    points = data.draw(st.lists(st.sampled_from(ENDPOINTS + middles), max_size=12))
-    line = make_adapter("rational-line")
-    scanned = _scanned_hosts(line, points, regions)
-    assert line.point_hosts(points, regions) == scanned
-
-
-@settings(derandomize=True, max_examples=300)
-@given(
-    st.lists(
-        st.lists(st.text("01", max_size=5), max_size=3).map(cantor_region),
-        max_size=6,
-    ),
-    st.lists(st.text("01", max_size=8), max_size=12),
-)
-def test_cantor_point_hosts_match_a_scan(regions, words):
-    cantor = make_adapter("cantor")
-    assert cantor.point_hosts(words, regions) == _scanned_hosts(
-        cantor, words, regions
-    )
 
 
 # -- parsing and formatting ---------------------------------------------------
@@ -395,18 +326,6 @@ def test_cantor_parse_and_format(cantor):
 def test_cantor_parse_rejects(cantor, bad):
     with pytest.raises(NotABasisElement):
         cantor.parse_region(bad)
-
-
-@given(
-    st.fractions(min_value=-8, max_value=8, max_denominator=64),
-    st.fractions(min_value=-8, max_value=8, max_denominator=64),
-)
-def test_line_format_parse_roundtrip(a, b):
-    line = make_adapter("rational-line")
-    if a == b:
-        return
-    region = interval(min(a, b), max(a, b))
-    assert line.parse_region(line.format_region(region)) == region
 
 
 # -- boundaries ---------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 Every region over prefixes of length <= L is a union of words of length
 exactly L, so expanding both sides to depth L is a complete oracle, not a
-sample.
+sample.  The laws every adapter obeys are in ``test_adapter_laws.py``.
 """
 
 from __future__ import annotations

@@ -3,7 +3,8 @@
 The hypothesis properties check every operation against a pointwise
 oracle on a rational probe grid dense enough to witness any violation:
 all endpoints of the inputs, midpoints of every part, and midpoints of
-the exact set differences.
+the exact set differences.  The laws every adapter obeys, against an
+oracle that reads the parts directly, are in ``test_adapter_laws.py``.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from dyadicmeasure.errors import InvariantViolation
 from dyadicmeasure.regions import (
     LineRegion,
     interval,
-    line_boundary_points,
     line_closure_strictly_inside,
     line_contains_point,
     line_meet,
@@ -95,11 +95,6 @@ def test_contains_point_is_open():
     assert not line_contains_point(interval(0, 1), F(1))
 
 
-def test_boundary_points():
-    r = line_region([(F(0), F(1)), (F(2), F(3))])
-    assert line_boundary_points(r) == (F(0), F(1), F(2), F(3))
-
-
 # -- pointwise oracle properties -------------------------------------------------
 
 scalars = st.builds(
@@ -132,6 +127,11 @@ def probe_grid(*rs):
 
 def in_closure(r, p):
     return any(lo <= p <= hi for lo, hi in r.parts)
+
+
+def ends(r):
+    """Every endpoint of every part: the boundary of the region."""
+    return [e for part in r.parts for e in part]
 
 
 @given(regions())
@@ -176,16 +176,14 @@ def test_subset_matches_exact_difference(x, y):
     # no boundary point of y sits inside x
     leftover = line_minus_closure(x, y.parts)
     expected = leftover.is_empty and not any(
-        line_contains_point(x, p) for p in line_boundary_points(y)
+        line_contains_point(x, p) for p in ends(y)
     )
     assert line_subset(x, y) == expected
 
 
 @given(regions(), regions())
 def test_closure_strictly_inside_matches_endpoints(x, y):
-    expected = line_subset(x, y) and all(
-        line_contains_point(y, p) for p in line_boundary_points(x)
-    )
+    expected = line_subset(x, y) and all(line_contains_point(y, p) for p in ends(x))
     if x.is_empty:
         expected = not y.is_empty
     assert line_closure_strictly_inside(x, y) == expected
