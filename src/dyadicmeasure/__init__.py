@@ -72,7 +72,6 @@ from .scheduling import (
     ScheduleBlock,
     Trace,
     build_schedule,
-    cover_union,
 )
 from .stages import (
     Cell,

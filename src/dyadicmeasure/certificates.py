@@ -7,10 +7,10 @@ measure of a boundary is never computed: a BoundaryBoundCertificate's
 claim is "this open cover of the boundary has exactly this mass", which
 upper-bounds the infimum over all covers.
 
-Values are read at a single late stage (the final one unless told
-otherwise).  Cover masses do not move between stages once the cover is
-decomposable, so the choice of stage only has to be late enough; the
-consistency checker in masses.py is the audit of that stability.
+Values are read at the final stage.  Cover masses do not move between
+stages once the cover is decomposable, so any late enough stage would
+give the same values; the consistency checker in masses.py is the audit
+of that stability.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .errors import (
     NotRepresentable,
 )
 from .masses import kappa, kappa_lifted, max_cell_mass, tail_budget
-from .scheduling import Schedule, Trace, cover_union
+from .scheduling import Schedule, Trace
 from .stages import RingElement, Stage, StageBuilder, decompose, ring_union
 
 __all__ = [
@@ -179,45 +179,37 @@ def _probe_agreement(stage: Stage, region, element: RingElement) -> int:
 
 
 def certify_boundary(
-    schedule: Schedule,
-    trace: Trace,
-    i: int,
-    j_max: int | None = None,
-    stage: Stage | None = None,
+    schedule: Schedule, trace: Trace, i: int
 ) -> BoundaryBoundCertificate:
-    """Evaluate the halving chain of row i and certify its final bound.
+    """Evaluate the halving chain of row i at the final stage.
 
     Checks, exactly: the hole identity (trimming the j-th cover by the
     closures of the (j+1)-th holes halves its mass) and the chain
     inequality (each cover has at most half the previous mass).  Raises
-    ChainViolation on the first failure.
+    ChainViolation on the first failure, StageTooEarly for a row with no
+    blocks.
     """
-    built = sorted(b.j for b in schedule.blocks if b.i == i)
-    if not built:
+    # the diagonal walk lists row i's blocks in ascending j
+    row = [b for b in schedule.blocks if b.i == i]
+    if not row:
         raise StageTooEarly(f"schedule has no blocks for row {i}")
-    if j_max is None:
-        j_max = built[-1]
-    elif j_max < 1:
-        raise ConfigError(f"j_max must be >= 1, got {j_max}")
-    if stage is None:
-        stage = trace.final
+    stage = trace.final
     adapter = schedule.adapter
+
+    def union(indices):
+        return adapter.union_all(adapter.enumerate(k).region for k in indices)
+
     links: list[ChainLink] = []
     probes = 0
-    for j in range(1, j_max + 1):
-        schedule.block(i, j)  # raises StageTooEarly when the row is short
-        element = cover_union(schedule, i, j, stage)
+    for block, after in zip(row, [*row[1:], None]):
+        j = block.j
+        region = union(block.cover)
+        element = decompose(region, stage)
         bound = kappa(stage, element)
-        region = adapter.union_all(
-            h.region for h in schedule.cover_handles(i, j)
-        )
         probes += _probe_agreement(stage, region, element)
         trimmed: DyadicMass | None = None
-        if j < j_max:
-            holes = schedule.hole_handles(i, j + 1)
-            region = adapter.meet_exterior(
-                region, adapter.union_all(h.region for h in holes)
-            )
+        if after is not None:
+            region = adapter.meet_exterior(region, union(after.holes))
             trimmed = kappa(stage, decompose(region, stage))
             if trimmed != bound.halve():
                 raise ChainViolation(

@@ -31,7 +31,8 @@ from itertools import islice
 
 from .adapters import BasisHandle, DEFAULT_SCAN_CAP, SpaceAdapter, diagonal_walk
 from .errors import ConfigError, ScanExhausted, StageTooEarly
-from .stages import RingElement, Stage, StageBuilder, StepRecord, decompose
+from .stages import Stage, StageBuilder, StepRecord
+from .stages import decompose  # unused here: the benchmark tracer patches this name
 
 
 @dataclass(frozen=True)
@@ -39,8 +40,7 @@ class ScheduleBlock:
     """One block R(i, j): selected families and its contiguous index range.
 
     ``cover``, ``holes`` and ``remainder`` are original basis indices in
-    ascending order; ``g`` is the block's range bound, and
-    ``cover_last_position`` the stream position of its last cover set.
+    ascending order, and ``g`` is the block's range bound.
     """
 
     i: int
@@ -49,7 +49,6 @@ class ScheduleBlock:
     holes: tuple[int, ...]
     remainder: tuple[int, ...]
     g: int
-    cover_last_position: int
 
 
 @dataclass(frozen=True)
@@ -72,12 +71,6 @@ class Schedule:
     @property
     def permutation(self) -> tuple[int, ...]:
         return tuple(h.index for h in self.stream)
-
-    def cover_handles(self, i: int, j: int) -> tuple[BasisHandle, ...]:
-        return tuple(self.adapter.enumerate(k) for k in self.block(i, j).cover)
-
-    def hole_handles(self, i: int, j: int) -> tuple[BasisHandle, ...]:
-        return tuple(self.adapter.enumerate(k) for k in self.block(i, j).holes)
 
 
 class Trace:
@@ -238,13 +231,10 @@ def build_schedule(
             k for k in range(frontier + 1, g + 1) if k not in selected
         )
         order = sorted(hole_set) + sorted(cover_set | set(remainder))
-        cover_last = 0
         for k in order:
             handle = adapter.enumerate(k)
             builder.insert(handle)
             stream.append(handle)
-            if k in cover_set:
-                cover_last = len(stream)
         blocks.append(
             ScheduleBlock(
                 i=i,
@@ -253,7 +243,6 @@ def build_schedule(
                 holes=tuple(sorted(hole_set)),
                 remainder=remainder,
                 g=g,
-                cover_last_position=cover_last,
             )
         )
         prev_cover_region[i] = adapter.union_all(h.region for h in cover)
@@ -269,18 +258,3 @@ def build_schedule(
     trace = Trace(adapter, schedule.stream, tuple(builder.records), snapshots)
     return schedule, trace
 
-
-def cover_union(
-    schedule: Schedule, i: int, j: int, stage: Stage
-) -> RingElement:
-    """The union of the (i, j) cover as a ring element of the given stage."""
-    block = schedule.block(i, j)
-    if stage.index < block.cover_last_position:
-        raise StageTooEarly(
-            f"cover of block ({i},{j}) is complete only at stage "
-            f"{block.cover_last_position}, got {stage.index}"
-        )
-    region = schedule.adapter.union_all(
-        h.region for h in schedule.cover_handles(i, j)
-    )
-    return decompose(region, stage)

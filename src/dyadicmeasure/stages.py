@@ -723,6 +723,9 @@ class StageBuilder:
         return self._index.locate_host(region)
 
     def insert(self, handle: BasisHandle) -> None:
+        """Insert one basis element; NotABasisElement for any other region
+        and DuplicateInsertion for one already inserted."""
+        self.adapter._validate_basis(handle.region)
         if handle.region in self._inserted_regions:
             raise DuplicateInsertion(
                 f"basis element {handle.region!r} already inserted"

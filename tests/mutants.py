@@ -1,4 +1,4 @@
-"""Recorded mutants of the package that the adapter laws must kill.
+"""Recorded mutants of the package that the named tests must kill.
 
 Each mutant is one edit: a file under ``src/dyadicmeasure``, an exact
 snippet that occurs there once, its replacement, and the tests that must
@@ -6,11 +6,11 @@ fail once it is made.  Run from the repository root:
 
     python tests/mutants.py
 
-The runner copies ``src/`` to a temporary directory and checks that the
-named tests pass on the unmutated copy.  Then, for each mutant, it makes the
-one edit in the copy, checks that ``dyadicmeasure`` imports from the copy
-and not from an installed package, and runs the tests against the copy
-through ``PYTHONPATH``.  It exits 1 when a snippet is not found exactly
+The runner copies ``src/`` to a temporary directory and checks that every
+test a mutant names passes on the unmutated copy.  Then, for each mutant,
+it makes the one edit in the copy, checks that ``dyadicmeasure`` imports
+from the copy and not from an installed package, and runs the tests
+against the copy through ``PYTHONPATH``.  It exits 1 when a snippet is not found exactly
 once, when the unmutated copy fails, or when a mutant survives.
 """
 
@@ -23,6 +23,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 LAWS = "tests/test_adapter_laws.py"
+CERTIFICATES = "tests/test_certificates.py"
 
 
 class Mutant(NamedTuple):
@@ -34,6 +35,10 @@ class Mutant(NamedTuple):
 
 def law(name):
     return (f"{LAWS}::{name}",)
+
+
+def certificate_test(name):
+    return (f"{CERTIFICATES}::{name}",)
 
 
 ALGEBRA = law("test_region_algebra_matches_the_oracle")
@@ -140,6 +145,30 @@ MUTANTS = [
         "lefts = [region.parts[0] for region in regions]",
         law("test_noting_a_stage_leaves_the_enumeration"),
     ),
+    Mutant(  # the hole identity goes unchecked
+        "certificates.py",
+        "if trimmed != bound.halve():",
+        "if False:",
+        certificate_test("test_hole_identity_is_checked_on_its_own"),
+    ),
+    Mutant(  # the chain inequality goes unchecked
+        "certificates.py",
+        "if nxt.bound > prev.bound.halve():",
+        "if False:",
+        certificate_test("test_chain_inequality_is_checked_on_its_own"),
+    ),
+    Mutant(  # a probe point outside its region goes unnoticed
+        "certificates.py",
+        "if not adapter.contains_point(region, x):",
+        "if False:",
+        certificate_test("test_probe_agreement_refuses_a_probe_outside_its_region"),
+    ),
+    Mutant(  # a grant other than 2^-k passes the ledger audit
+        "certificates.py",
+        "if rec.grant != DyadicMass.pow2(rec.position):",
+        "if False:",
+        certificate_test("test_conservation_rejects_foreign_grant"),
+    ),
 ]
 
 
@@ -167,8 +196,9 @@ def main():
     with tempfile.TemporaryDirectory() as tmp:
         src = Path(tmp) / "src"
         shutil.copytree(root / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
-        if failed(src, (LAWS,)):
-            sys.exit(f"{LAWS} fails on the unmutated source")
+        named = sorted({test for m in MUTANTS for test in m.tests})
+        if failed(src, named):
+            sys.exit("a named test fails on the unmutated source")
         survivors = 0
         for m in MUTANTS:
             path = src / "dyadicmeasure" / m.file
@@ -180,7 +210,8 @@ def main():
             killed = failed(src, m.tests)
             path.write_text(original)
             survivors += not killed
-            print(f"{'killed' if killed else 'SURVIVED'}: {m.file}: {m.replacement!r}")
+            verdict = "killed" if killed else "SURVIVED"
+            print(f"{verdict}: {m.file}: {m.snippet!r} -> {m.replacement!r}")
         if survivors:
             sys.exit(f"{survivors} of {len(MUTANTS)} mutants survived")
 

@@ -107,7 +107,7 @@ def test_criterion_02_halving_chain(line_d5):
 
 def test_criterion_03_boundary_bound(line_d5):
     _, schedule, trace, _ = line_d5
-    cert = certify_boundary(schedule, trace, 1, j_max=5)
+    cert = certify_boundary(schedule, trace, 1)
     assert cert.j_max == 5
     assert cert.derived_bound == cert.links[0].bound.scaled_down(4)
     assert cert.final_bound.as_fraction() <= (

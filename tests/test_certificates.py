@@ -1,12 +1,13 @@
 """Certified bounds: boundary chains, decay, additivity, partitions."""
 
+from dataclasses import replace
 from fractions import Fraction as F
 from types import SimpleNamespace
 
 import pytest
 
 import dyadicmeasure.certificates as certs
-from dyadicmeasure.adapters import make_adapter
+from dyadicmeasure.adapters import RationalLine, make_adapter
 from dyadicmeasure.certificates import (
     build_partition,
     certify_boundary,
@@ -87,21 +88,6 @@ def test_boundary_chain_deeper_rows(line_d3):
     assert cert3.derived_bound == cert3.final_bound
 
 
-def test_boundary_chain_truncated(line_d3):
-    _, schedule, trace = line_d3
-    cert = certify_boundary(schedule, trace, 1, j_max=1)
-    assert [(k.j, str(k.bound), k.trimmed) for k in cert.links] == [
-        (1, "11/2^5", None)
-    ]
-    assert cert.final_bound == DyadicMass(11, 5)
-
-
-def test_boundary_chain_early_stage_rejected(line_d3):
-    _, schedule, trace = line_d3
-    with pytest.raises(StageTooEarly):
-        certify_boundary(schedule, trace, 1, stage=trace.stage_at(5))
-
-
 def test_boundary_chain_halving_is_checked(line_d3, monkeypatch):
     _, schedule, trace = line_d3
     monkeypatch.setattr(certs, "kappa", lambda stage, d: DyadicMass(3, 6))
@@ -117,6 +103,37 @@ def test_chain_violation_names_stage_and_block(line_d3, monkeypatch):
         certify_boundary(schedule, trace, 2)
     assert err.value.block == (2, 1)
     assert err.value.stage == trace.final.index
+
+
+def _with_block(schedule, i, j, **changes):
+    """The schedule with block (i, j)'s fields changed as given."""
+    blocks = tuple(
+        replace(b, **changes) if (b.i, b.j) == (i, j) else b
+        for b in schedule.blocks
+    )
+    return replace(schedule, blocks=blocks)
+
+
+def test_hole_identity_is_checked_on_its_own(line_d3):
+    """Without the (1,2) holes the first cover is not halved, though every
+    cover is still at most half the one before: only the hole identity
+    fails."""
+    _, schedule, trace = line_d3
+    doctored = _with_block(schedule, 1, 2, holes=())
+    with pytest.raises(ChainViolation, match="hole identity failed") as err:
+        certify_boundary(doctored, trace, 1)
+    assert (err.value.stage, err.value.block) == (trace.final.index, (1, 1))
+
+
+def test_chain_inequality_is_checked_on_its_own(line_d3):
+    """With the (1,1) cover repeated as the (1,2) cover, each hole family
+    still halves the cover before it, but the second cover is not at most
+    half the first: only the chain inequality fails."""
+    _, schedule, trace = line_d3
+    doctored = _with_block(schedule, 1, 2, cover=schedule.block(1, 1).cover)
+    with pytest.raises(ChainViolation, match="halving chain broken") as err:
+        certify_boundary(doctored, trace, 1)
+    assert (err.value.stage, err.value.block) == (trace.final.index, (1, 1))
 
 
 def test_boundary_chain_cantor_is_exactly_zero(cantor_d3):
@@ -189,6 +206,20 @@ def test_probe_agreement_refuses_a_probe_in_no_cell(name, region, cells, residue
     element = RingElement(stage.index, frozenset({1}), frozenset(residue))
     with pytest.raises(InvariantViolation, match="in no cell and no residue"):
         certs._probe_agreement(stage, region, element)
+
+
+def test_probe_agreement_refuses_a_probe_outside_its_region():
+    """A probe point outside the region is refused even when it lies in
+    exactly one cell of the element."""
+
+    class StrayProbes(RationalLine):
+        def probe_points(self, region, against):
+            return [F(3, 2)]
+
+    stage = _doctored_stage(StrayProbes(), [interval(0, 2)])
+    element = RingElement(stage.index, frozenset({1}), frozenset())
+    with pytest.raises(InvariantViolation, match="escaped its own region"):
+        certs._probe_agreement(stage, interval(0, 1), element)
 
 
 # -- decay --------------------------------------------------------------------
@@ -269,12 +300,19 @@ def test_conservation_reports(line_d3, cantor_d3):
 
 
 def test_conservation_rejects_foreign_grant(line_d3):
+    """A first grant of 1/4 instead of 1/2, with every total replayed from
+    it, keeps the ledger in step and under its bound: only the grant check
+    can refuse it."""
     _, _, trace = line_d3
-    first = trace.records[0]
-    bad = StepRecord(first.position, first.basis_index, DyadicMass.pow2(2),
-                     first.splits, first.total_after)
-    with pytest.raises(InvariantViolation):
-        check_conservation(SimpleNamespace(records=(bad,) + trace.records[1:]))
+    total = ZERO
+    rows = []
+    for rec in trace.records:
+        grant = DyadicMass.pow2(2) if rec.position == 1 else rec.grant
+        if grant is not None:
+            total = total + grant
+        rows.append(rec._replace(grant=grant, total_after=total))
+    with pytest.raises(InvariantViolation, match="grant at position 1"):
+        check_conservation(SimpleNamespace(records=tuple(rows)))
 
 
 def test_conservation_rejects_ledger_drift(line_d3):
@@ -298,17 +336,16 @@ def test_consistency_counts(line_d3):
 
 
 @pytest.mark.parametrize("count", [0, -5])
-@pytest.mark.parametrize("check", ["additivity", "consistency", "boundary"])
+@pytest.mark.parametrize("check", ["additivity", "consistency"])
 def test_a_count_below_one_is_a_config_error(line_d3, check, count):
-    """A check asked for no samples, or a chain of no links, checks
-    nothing, so it is refused rather than reported as passed."""
-    _, schedule, trace = line_d3
+    """A check asked for no samples checks nothing, so it is refused
+    rather than reported as passed."""
+    _, _, trace = line_d3
     run = {
         "additivity": lambda: check_additivity(trace.stage_at(12), count),
         "consistency": lambda: check_consistency(
             list(trace.stages(3)), per_stage=count
         ),
-        "boundary": lambda: certify_boundary(schedule, trace, 1, j_max=count),
     }[check]
     with pytest.raises(ConfigError, match=">= 1"):
         run()

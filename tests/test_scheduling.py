@@ -8,8 +8,7 @@ import pytest
 from dyadicmeasure.adapters import RationalLine, diagonal_walk, make_adapter
 from dyadicmeasure.dyadic import DyadicMass
 from dyadicmeasure.errors import ConfigError, ScanExhausted, StageTooEarly
-from dyadicmeasure.masses import kappa
-from dyadicmeasure.scheduling import build_schedule, cover_union
+from dyadicmeasure.scheduling import build_schedule
 
 
 @pytest.fixture(scope="module")
@@ -54,7 +53,6 @@ def test_line_depth2_blocks(line_d2):
     assert b12.cover == (25, 26)
     assert b12.remainder == (16,)
     assert b12.g == 26
-    assert b12.cover_last_position == 26
 
 
 def test_renamed_adapter_subclass_builds_the_same_blocks(line_d2):
@@ -265,19 +263,3 @@ def test_records_cover_every_position(line_d2):
     assert [r.position for r in trace.records] == list(range(1, 27))
     assert trace.records[-1].total_after == trace.final.total_mass
 
-
-# -- covers -------------------------------------------------------------------
-
-
-def test_cover_union_evaluates_at_late_stage(line_d2):
-    _, schedule, trace = line_d2
-    final = trace.final
-    d = cover_union(schedule, 1, 1, final)
-    assert not d.is_empty
-    assert not kappa(final, d).is_zero
-
-
-def test_cover_union_needs_completed_cover(line_d2):
-    _, schedule, trace = line_d2
-    with pytest.raises(StageTooEarly):
-        cover_union(schedule, 1, 2, trace.stage_at(10))

@@ -11,6 +11,7 @@ from dyadicmeasure.dyadic import DyadicMass
 from dyadicmeasure.errors import (
     DuplicateInsertion,
     InvariantViolation,
+    NotABasisElement,
     NotRepresentable,
     StageMismatch,
     UnknownCell,
@@ -165,6 +166,32 @@ def test_builder_continues_from_snapshot(t1):
     assert s3.total_mass == stages[2].total_mass
     with pytest.raises(DuplicateInsertion):
         builder.insert(adapter.enumerate(3))
+
+
+@pytest.mark.parametrize(
+    "name, first, region",
+    [
+        ("rational-line", [], line_region([(0, 1), (2, 3)])),
+        ("rational-line", [], line_region([])),
+        ("cantor", [], interval(0, 1)),
+        ("cantor", [cantor_region(["0"]), cantor_region(["1"])],
+         cantor_region(["00", "11"])),
+    ],
+)
+def test_builder_refuses_a_region_that_is_not_one_basis_element(
+    name, first, region
+):
+    """Only a basis element of the builder's own space is inserted: a
+    union of two of them, an empty region or a region of another space is
+    refused before it touches the cells."""
+    builder = StageBuilder(make_adapter(name))
+    for k, r in enumerate(first, 1):
+        builder.insert(BasisHandle(k, r))
+    before = builder.snapshot()
+    with pytest.raises(NotABasisElement):
+        builder.insert(BasisHandle(len(first) + 1, region))
+    assert builder.count == len(first)
+    assert builder.snapshot().cells == before.cells
 
 
 @pytest.mark.parametrize(
