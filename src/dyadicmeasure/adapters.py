@@ -193,9 +193,8 @@ class SpaceAdapter:
 
     name: str = ""
     cell_index: type  # the stage engine's index of this space
-    # deepest schedule that builds in seconds (README "Depth guidance");
-    # None for no stated limit
-    practical_depth: int | None = None
+    # deepest schedule that builds in seconds (README "Depth guidance")
+    practical_depth: int
 
     def __init__(self, injected: Sequence[object] = ()) -> None:
         for r in injected:

@@ -24,7 +24,7 @@ import sys
 import threading
 from fractions import Fraction
 
-from .adapters import DEFAULT_SCAN_CAP, make_adapter
+from .adapters import make_adapter
 from .certificates import (
     build_partition,
     certify_boundary,
@@ -68,18 +68,29 @@ def _make_adapter(args: argparse.Namespace):
     return make_adapter(args.adapter, injected=injected)
 
 
-def _signature_text(flags) -> str:
-    return "".join("I" if f else "E" for f in flags)
+def _signatures(stage, adapter, before: dict[int, str]) -> dict[int, str]:
+    """The IN/EXT string of each cell of stage, grown from ``before``, the
+    strings of the stage before it: a cell that persists keeps its string,
+    a split piece takes its parent's, and a fresh cell lies outside every
+    earlier set.  Each cell then meets only the newest set."""
+    newest = stage.inserted[-1].region
+    outside = "E" * (stage.index - 1)
+    grown = {}
+    for cid, cell in stage.cells.items():
+        prefix = before.get(cid, before.get(cell.parent_id, outside))
+        inside = not adapter.meet(cell.region, newest).is_empty
+        grown[cid] = prefix + ("I" if inside else "E")
+    return grown
 
 
-def _stage_rows(stage, adapter) -> dict:
+def _stage_rows(stage, adapter, signatures: dict[int, str]) -> dict:
     cells = []
     for cid in sorted(stage.cells):
         cell = stage.cells[cid]
         cells.append(
             {
                 "cell": cid,
-                "signature": _signature_text(stage.signature_of(cid)),
+                "signature": signatures[cid],
                 "region": adapter.format_region(cell.region),
                 "mass": cell.mass.to_json(),
             }
@@ -92,25 +103,27 @@ def _stage_rows(stage, adapter) -> dict:
 
 
 def _check_counts(args: argparse.Namespace) -> None:
-    """Reject --depth, --stages and --scan-cap below 1, where given."""
-    for name in ("depth", "stages", "scan_cap"):
+    """Reject --depth and --stages below 1, where given."""
+    for name in ("depth", "stages"):
         value = getattr(args, name, None)
         if value is not None and value < 1:
-            flag = "--" + name.replace("_", "-")
-            raise ConfigError(f"{flag} must be >= 1, got {value}")
+            raise ConfigError(f"--{name} must be >= 1, got {value}")
 
 
 def _cmd_build(args: argparse.Namespace) -> dict:
     adapter = _make_adapter(args)
     handles = (adapter.enumerate(k) for k in range(1, args.stages + 1))
-    stages = StageBuilder(adapter).run(handles)
-    table = [_stage_rows(stage, adapter) for stage in stages]
+    table = []
+    signatures: dict[int, str] = {}
+    for stage in StageBuilder(adapter).run(handles):
+        signatures = _signatures(stage, adapter, signatures)
+        table.append(_stage_rows(stage, adapter, signatures))
     return {"adapter": adapter.name, "command": "build", "stages": table}
 
 
 def _cmd_schedule(args: argparse.Namespace) -> dict:
     adapter = _make_adapter(args)
-    schedule, _ = build_schedule(adapter, args.depth, args.scan_cap)
+    schedule, _ = build_schedule(adapter, args.depth)
     blocks = [
         {
             "i": b.i,
@@ -207,9 +220,7 @@ def _sampled_prefix(trace) -> tuple[int, ...]:
     return tuple(h.index for h in trace.stream[:SAMPLED_STAGES])
 
 
-def _sampled_checks(
-    adapter, depth: int, scan_cap: int, seed: int
-) -> tuple[tuple[int, ...], list]:
+def _sampled_checks(adapter, depth: int, seed: int) -> tuple[tuple[int, ...], list]:
     """Sample the shallowest schedule, at most depth deep, whose stream has
     SAMPLED_STAGES stages: a schedule's stream is a prefix of every deeper
     one's, so these are the stages depth's own stream starts with.
@@ -219,7 +230,7 @@ def _sampled_checks(
     error it raised.  Raises ConfigError when the last stage of the prefix
     has fewer than two cells."""
     for shallow in range(1, depth + 1):
-        _, trace = build_schedule(adapter, shallow, scan_cap)
+        _, trace = build_schedule(adapter, shallow)
         if len(trace) >= SAMPLED_STAGES:
             break
     replayed = list(trace.stages(min(SAMPLED_STAGES, len(trace))))
@@ -256,13 +267,13 @@ def _cmd_verify(args: argparse.Namespace) -> dict:
     adapter = _make_adapter(args)
 
     def build_and_certify():
-        schedule, trace = build_schedule(adapter, args.depth, args.scan_cap)
+        schedule, trace = build_schedule(adapter, args.depth)
         return trace, _attempt(_certify, schedule, trace, args.depth)
 
     def sample():
         # a package error is side's result, so a forked child sends it back
         try:
-            return _sampled_checks(adapter, args.depth, args.scan_cap, args.seed)
+            return _sampled_checks(adapter, args.depth, args.seed)
         except DyadicMeasureError as exc:
             return exc
 
@@ -313,15 +324,15 @@ def _cmd_partition(args: argparse.Namespace) -> dict:
     depth = args.depth
     if depth is None:
         depth = fragmentation_level(epsilon)
-        limit = adapter.practical_depth
-        if limit is not None and depth > limit:
+        if depth > adapter.practical_depth:
             raise ConfigError(
                 f"epsilon {args.epsilon} derives depth {depth}, past the "
-                f"practical depth {limit} of the {adapter.name} adapter "
-                f'(README "Depth guidance"); pass --depth to build anyway'
+                f"practical depth {adapter.practical_depth} of the "
+                f'{adapter.name} adapter (README "Depth guidance"); pass '
+                "--depth to build anyway"
             )
     check_partition_depth(epsilon, depth)
-    schedule, trace = build_schedule(adapter, depth, args.scan_cap)
+    schedule, trace = build_schedule(adapter, depth)
     certificate = build_partition(schedule, trace, epsilon)
     return {
         "adapter": adapter.name,
@@ -450,11 +461,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(partition)
     partition.set_defaults(handler=_cmd_partition)
 
-    for sub in (schedule, verify, partition):  # the commands that scan
-        sub.add_argument(
-            "--scan-cap", type=int, default=DEFAULT_SCAN_CAP,
-            help="largest basis index a hole or cover scan may inspect",
-        )
     return parser
 
 

@@ -132,7 +132,6 @@ def _hole_sweep(
     adapter: SpaceAdapter,
     builder: StageBuilder,
     min_index: int,
-    scan_cap: int,
 ) -> list[BasisHandle]:
     """One hole per current cell, in the ascending order of one index scan.
 
@@ -144,10 +143,11 @@ def _hole_sweep(
     pending = set(builder.cells)
     found: list[BasisHandle] = []
     k = min_index
+    stop = min_index + DEFAULT_SCAN_CAP
     while pending:
-        if k >= min_index + scan_cap:
+        if k >= stop:
             raise ScanExhausted(
-                f"{len(pending)} cells still holeless after {scan_cap} indices"
+                f"{len(pending)} cells still holeless after {DEFAULT_SCAN_CAP} indices"
             )
         h = adapter.enumerate(k)
         host = builder.locate_host(h.region)
@@ -179,15 +179,12 @@ def _collector_paused(fn):
 
 
 @_collector_paused
-def build_schedule(
-    adapter: SpaceAdapter,
-    depth: int,
-    scan_cap: int = DEFAULT_SCAN_CAP,
-) -> tuple[Schedule, Trace]:
+def build_schedule(adapter: SpaceAdapter, depth: int) -> tuple[Schedule, Trace]:
     """Run the diagonal block construction to the given depth.
 
     Each block ends in a snapshot, which the adapter hears of through
-    ``note_stage``.
+    ``note_stage``.  Every hole and cover scan inspects at most
+    ``DEFAULT_SCAN_CAP`` indices and raises ScanExhausted past them.
 
     The build runs with CPython's cyclic garbage collector paused.  The
     shipped adapters and the stage engine build no reference cycles, so
@@ -198,11 +195,10 @@ def build_schedule(
     third-party adapter makes during a build waits until then too.  A
     collector that was disabled before the call stays disabled.
 
-    Raises ConfigError for a depth or a scan cap below 1.
+    Raises ConfigError for a depth below 1.
     """
-    for name, value in (("depth", depth), ("scan_cap", scan_cap)):
-        if value < 1:
-            raise ConfigError(f"{name} must be >= 1, got {value}")
+    if depth < 1:
+        raise ConfigError(f"depth must be >= 1, got {depth}")
     builder = StageBuilder(adapter)
     blocks: list[ScheduleBlock] = []
     stream: list[BasisHandle] = []
@@ -212,7 +208,7 @@ def build_schedule(
     for i, j in islice(diagonal_walk(), depth * (depth + 1) // 2):
         holes: list[BasisHandle] = []
         if j >= 2:
-            holes = _hole_sweep(adapter, builder, frontier + 1, scan_cap)
+            holes = _hole_sweep(adapter, builder, frontier + 1)
         hole_set = {h.index for h in holes}
         points = adapter.boundary(adapter.enumerate(i))
         constraint = None
@@ -222,7 +218,7 @@ def build_schedule(
                 prev_cover_region[i], adapter.union_all(h.region for h in holes)
             )
         cover = adapter.finite_subcover(
-            points, constraint, hole_set, frontier + 1, scan_cap
+            points, constraint, hole_set, frontier + 1, DEFAULT_SCAN_CAP
         )
         cover_set = {h.index for h in cover}
         selected = hole_set | cover_set

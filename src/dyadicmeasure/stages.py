@@ -98,7 +98,6 @@ class Stage:
         "total_mass",
         "adapter",
         "_boundary_points",
-        "_sig_cache",
         "_sig_map",
         "_index",
     )
@@ -117,7 +116,6 @@ class Stage:
         self.total_mass = total_mass
         self.adapter = adapter
         self._boundary_points: frozenset | None = None
-        self._sig_cache: dict[int, Signature] = {}
         self._sig_map: dict[Signature, int] | None = None
         self._index = None
 
@@ -143,18 +141,13 @@ class Stage:
         the same as containment in W_m; flags are recomputed from regions
         instead of being stored per stage.
         """
-        cached = self._sig_cache.get(cell_id)
-        if cached is not None:
-            return cached
         cell = self.cells.get(cell_id)
         if cell is None:
             raise UnknownCell(f"no cell {cell_id} at stage {self.index}")
-        sig = tuple(
+        return tuple(
             not self.adapter.meet(cell.region, h.region).is_empty
             for h in self.inserted
         )
-        self._sig_cache[cell_id] = sig
-        return sig
 
     def cell_for_signature(self, signature: Signature) -> Cell:
         if self._sig_map is None:

@@ -4,6 +4,13 @@ import os
 import sys
 
 import pytest
+from hypothesis import Phase, settings
+
+# tests/mutants.py runs its named tests under this profile: a failure is all
+# it asks for, so the failing example is neither shrunk nor stored
+settings.register_profile(
+    "mutants", phases=(Phase.explicit, Phase.generate), database=None
+)
 
 
 @pytest.fixture

@@ -10,8 +10,10 @@ The runner copies ``src/`` to a temporary directory and checks that every
 test a mutant names passes on the unmutated copy.  Then, for each mutant,
 it makes the one edit in the copy, checks that ``dyadicmeasure`` imports
 from the copy and not from an installed package, and runs the tests
-against the copy through ``PYTHONPATH``.  It exits 1 when a snippet is not found exactly
-once, when the unmutated copy fails, or when a mutant survives.
+against the copy through ``PYTHONPATH``, under the ``mutants`` Hypothesis
+profile of ``tests/conftest.py``, which does not shrink a failing example.
+It exits 1 when a snippet is not found exactly once, when the unmutated
+copy fails, or when a mutant survives.
 """
 
 import os
@@ -24,6 +26,8 @@ from typing import NamedTuple
 
 LAWS = "tests/test_adapter_laws.py"
 CERTIFICATES = "tests/test_certificates.py"
+LINE_ENGINE = ("tests/test_stateful.py::TestLineEngine",)
+CANTOR_ENGINE = ("tests/test_stateful.py::TestCantorEngine",)
 
 
 class Mutant(NamedTuple):
@@ -39,6 +43,14 @@ def law(name):
 
 def certificate_test(name):
     return (f"{CERTIFICATES}::{name}",)
+
+
+def stages_test(name):
+    return (f"tests/test_stages.py::{name}",)
+
+
+def scheduling_test(name):
+    return (f"tests/test_scheduling.py::{name}",)
 
 
 ALGEBRA = law("test_region_algebra_matches_the_oracle")
@@ -169,6 +181,96 @@ MUTANTS = [
         "if False:",
         certificate_test("test_conservation_rejects_foreign_grant"),
     ),
+    Mutant(  # a span that ends at the point's float is skipped
+        "stages.py",
+        "self._max_hi[i] < key[0]",
+        "self._max_hi[i] <= key[0]",
+        ("tests/test_split_oracle.py::test_line_splits_match_oracle",),
+    ),
+    Mutant(  # a part that ends at the new interval's start meets it
+        "stages.py",
+        "parts[start - 1][3:6] > ka",
+        "parts[start - 1][3:6] >= ka",
+        LINE_ENGINE,
+    ),
+    Mutant(  # a cell stabbed at an end meets the new interval wherever it lies
+        "stages.py",
+        "if cell_parts[k][0] < b:",
+        "if True:",
+        LINE_ENGINE,
+    ),
+    Mutant(  # a part that ends at the new interval's start is cut
+        "stages.py",
+        "entry[3:6] <= ka",
+        "entry[3:6] < ka",
+        LINE_ENGINE,
+    ),
+    Mutant(  # the carve emits an empty gap at the closure's end
+        "stages.py",
+        "if cursor < kb:",
+        "if cursor <= kb:",
+        LINE_ENGINE,
+    ),
+    Mutant(  # a part that ends at the hole's right end hosts it
+        "stages.py",
+        "entry[3:6] > [*line_key(b)]",
+        "entry[3:6] >= [*line_key(b)]",
+        LINE_ENGINE,
+    ),
+    Mutant(  # a line cell with a part outside the region counts as inside
+        "stages.py",
+        "if count < len(self.regions[cid].parts):",
+        "if False:",
+        stages_test("test_line_decompose_matches_brute_force"),
+    ),
+    Mutant(  # a residue point that no inserted set bounds is accepted
+        "stages.py",
+        "if point not in stage.boundary_points:",
+        "if False:",
+        stages_test("test_line_decompose_rejects_a_residue_point_no_set_bounds"),
+    ),
+    Mutant(  # the Cantor holder walk returns the populated mark 0 as a cell
+        "stages.py",
+        "return cid or None",
+        "return cid",
+        CANTOR_ENGINE,
+    ),
+    Mutant(  # a Cantor cell that is the new cylinder is split anyway
+        "stages.py",
+        "if cell.prefixes == (w,):",
+        "if False:",
+        CANTOR_ENGINE,
+    ),
+    Mutant(  # a Cantor cell equal to the hole hosts it
+        "stages.py",
+        "if cid is None or self.regions[cid].prefixes == (w,):",
+        "if cid is None:",
+        CANTOR_ENGINE,
+    ),
+    Mutant(  # a Cantor region that is not a union of cells decomposes
+        "stages.py",
+        "if cantor_region(covered) != region:",
+        "if False:",
+        CANTOR_ENGINE,
+    ),
+    Mutant(  # a cell that has its hole takes another
+        "scheduling.py",
+        "host is not None and host in pending",
+        "host is not None",
+        scheduling_test("test_cantor_depth3_blocks"),
+    ),
+    Mutant(  # the holes of a block no longer go first
+        "scheduling.py",
+        "sorted(hole_set) + sorted(cover_set | set(remainder))",
+        "sorted(hole_set | cover_set | set(remainder))",
+        scheduling_test("test_line_depth2_permutation"),
+    ),
+    Mutant(  # a snapshot skips the mass audit
+        "stages.py",
+        "if audit != self.total:",
+        "if False:",
+        stages_test("test_deep_mass_audit_failure_is_an_invariant_violation"),
+    ),
 ]
 
 
@@ -182,7 +284,10 @@ def failed(src, tests):
     if not Path(found).resolve().is_relative_to(src.resolve()):
         sys.exit(f"dyadicmeasure imports from {found}, not from {src}")
     run = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
+        [
+            sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+            "--hypothesis-profile=mutants", *tests,
+        ],
         env=env, stdout=subprocess.DEVNULL,
     )
     if run.returncode not in (0, 1):
@@ -190,17 +295,17 @@ def failed(src, tests):
     return run.returncode == 1
 
 
-def main():
+def main(mutants=MUTANTS):
     root = Path(__file__).resolve().parent.parent
     os.chdir(root)
     with tempfile.TemporaryDirectory() as tmp:
         src = Path(tmp) / "src"
         shutil.copytree(root / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
-        named = sorted({test for m in MUTANTS for test in m.tests})
+        named = sorted({test for m in mutants for test in m.tests})
         if failed(src, named):
             sys.exit("a named test fails on the unmutated source")
         survivors = 0
-        for m in MUTANTS:
+        for m in mutants:
             path = src / "dyadicmeasure" / m.file
             original = path.read_text()
             found = original.count(m.snippet)
@@ -213,7 +318,7 @@ def main():
             verdict = "killed" if killed else "SURVIVED"
             print(f"{verdict}: {m.file}: {m.snippet!r} -> {m.replacement!r}")
         if survivors:
-            sys.exit(f"{survivors} of {len(MUTANTS)} mutants survived")
+            sys.exit(f"{survivors} of {len(mutants)} mutants survived")
 
 
 if __name__ == "__main__":

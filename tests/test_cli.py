@@ -4,6 +4,7 @@ import json
 import os
 import sys
 import time
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
@@ -19,7 +20,9 @@ from dyadicmeasure.errors import (
     ConsistencyViolation,
     DecayViolation,
 )
+from dyadicmeasure.regions import interval
 from dyadicmeasure.scheduling import build_schedule
+from dyadicmeasure.stages import StageBuilder
 
 T1_BASIS = "# first three insertions\n(0,2)\n(1,3)\n\n(9/4,11/4)\n"
 
@@ -110,6 +113,55 @@ def test_build_csv(capsys, t1_basis):
         '2,4,EI,"(2,3)",1,2',
         "2,TOTAL,,,3,2",
     ]
+
+
+@pytest.mark.parametrize(
+    "name, injected",
+    [
+        ("rational-line", False),
+        ("cantor", False),
+        ("rational-line", True),
+    ],
+    ids=["line", "cantor", "basis-file"],
+)
+def test_build_signatures_match_the_stage_oracle(capsys, t1_basis, name, injected):
+    """Each printed signature is ``Stage.signature_of`` of its cell, on the
+    same stage replayed through ``StageBuilder.run``."""
+    argv = ["build", "--stages", "60", "--adapter", name]
+    regions = []
+    if injected:
+        argv += ["--basis-file", t1_basis]
+        regions = [interval(0, 2), interval(1, 3), interval(F(9, 4), F(11, 4))]
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    printed = json.loads(out)["stages"]
+    adapter = make_adapter(name, injected=regions)
+    handles = [adapter.enumerate(k) for k in range(1, 61)]
+    stages = StageBuilder(adapter).run(handles)
+    for stage, row in zip(stages, printed, strict=True):
+        assert [c["signature"] for c in row["cells"]] == [
+            "".join("I" if flag else "E" for flag in stage.signature_of(cid))
+            for cid in sorted(stage.cells)
+        ]
+
+
+@pytest.mark.parametrize("name", ["rational-line", "cantor"])
+def test_build_meets_each_cell_with_the_newest_set_only(capsys, monkeypatch, name):
+    """One ``meet`` per printed cell row: a cell's signature grows from the
+    stage before, so build time is quadratic in --stages, not cubic."""
+    cls = type(make_adapter(name))
+    meet = cls.meet
+    calls = []
+
+    def counted(self, a, b):
+        calls.append(None)
+        return meet(self, a, b)
+
+    monkeypatch.setattr(cls, "meet", counted)
+    code, out, _ = run(capsys, "build", "--stages", "60", "--adapter", name)
+    assert code == 0
+    rows = sum(len(stage["cells"]) for stage in json.loads(out)["stages"])
+    assert len(calls) == rows
 
 
 def test_build_rejects_bad_stage_count(capsys):
@@ -283,19 +335,8 @@ def test_partition_explicit_depth_skips_the_practical_limit(capsys):
         (["verify"], "--depth"),
         (["partition", "1/8"], "--depth"),
         (["build"], "--stages"),
-        (["schedule"], "--scan-cap"),
-        (["verify"], "--scan-cap"),
-        (["partition", "1/8"], "--scan-cap"),
     ],
-    ids=[
-        "schedule",
-        "verify",
-        "partition",
-        "build-stages",
-        "schedule-scan-cap",
-        "verify-scan-cap",
-        "partition-scan-cap",
-    ],
+    ids=["schedule", "verify", "partition", "build-stages"],
 )
 @pytest.mark.parametrize("value", ["0", "-1"])
 def test_depth_below_one_is_a_config_error(capsys, command, flag, value):
@@ -314,6 +355,9 @@ def test_depth_below_one_is_a_config_error(capsys, command, flag, value):
         ["schedule", "--seed", "1"],
         ["partition", "1/8", "--seed", "1"],
         ["build", "--scan-cap", "9"],
+        ["schedule", "--scan-cap", "5"],
+        ["verify", "--scan-cap", "5"],
+        ["partition", "1/8", "--scan-cap", "5"],
         ["schedule", "--basis-file", "/nonexistent"],
         ["verify", "--basis-file", "/nonexistent"],
         ["partition", "1/8", "--basis-file", "/nonexistent"],
@@ -325,6 +369,9 @@ def test_depth_below_one_is_a_config_error(capsys, command, flag, value):
         "schedule-seed",
         "partition-seed",
         "build-scan-cap",
+        "schedule-scan-cap",
+        "verify-scan-cap",
+        "partition-scan-cap",
         "schedule-basis-file",
         "verify-basis-file",
         "partition-basis-file",

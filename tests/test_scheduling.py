@@ -5,6 +5,7 @@ from itertools import islice
 
 import pytest
 
+from dyadicmeasure import scheduling
 from dyadicmeasure.adapters import RationalLine, diagonal_walk, make_adapter
 from dyadicmeasure.dyadic import DyadicMass
 from dyadicmeasure.errors import ConfigError, ScanExhausted, StageTooEarly
@@ -109,13 +110,20 @@ def test_build_pauses_the_collector_and_restores_it(enabled):
 
 
 @pytest.mark.parametrize("enabled", [True, False])
-def test_a_failed_build_restores_the_collector(enabled):
+def test_a_failed_build_restores_the_collector(monkeypatch, enabled):
+    # one index per scan: the line's first cover scan runs out, and the
+    # Cantor space's first hole sweep
+    monkeypatch.setattr(scheduling, "DEFAULT_SCAN_CAP", 1)
     was_enabled = gc.isenabled()
     (gc.enable if enabled else gc.disable)()
     try:
-        with pytest.raises(ScanExhausted):
-            build_schedule(make_adapter("rational-line"), 2, scan_cap=1)
-        assert gc.isenabled() is enabled
+        for name, message in (
+            ("rational-line", "incomplete after 1 indices"),
+            ("cantor", "still holeless after 1 indices"),
+        ):
+            with pytest.raises(ScanExhausted, match=message):
+                build_schedule(make_adapter(name), 2)
+            assert gc.isenabled() is enabled
     finally:
         (gc.enable if was_enabled else gc.disable)()
 
@@ -125,12 +133,6 @@ def test_a_failed_build_restores_the_collector(enabled):
 def test_a_depth_below_one_is_a_config_error(name, depth):
     with pytest.raises(ConfigError, match=f"depth must be >= 1, got {depth}"):
         build_schedule(make_adapter(name), depth)
-
-
-@pytest.mark.parametrize("name", ["rational-line", "cantor"])
-def test_a_scan_cap_below_one_is_a_config_error(name):
-    with pytest.raises(ConfigError, match="scan_cap must be >= 1, got 0"):
-        build_schedule(make_adapter(name), 2, scan_cap=0)
 
 
 def test_line_depth2_permutation(line_d2):

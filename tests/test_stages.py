@@ -29,7 +29,9 @@ from dyadicmeasure.regions import (
 )
 from dyadicmeasure.scheduling import build_schedule
 from dyadicmeasure.stages import (
+    Cell,
     RingElement,
+    Stage,
     StageBuilder,
     _CantorCells,
     _LineCells,
@@ -377,6 +379,22 @@ def test_line_decompose_rejects_a_cell_half_inside():
     with pytest.raises(NotRepresentable, match="pokes outside"):
         decompose(interval(0, F(1, 2)), stage)
     assert decompose(interval(0, 2), stage).boundary_points == {F(1, 2), F(1)}
+
+
+def test_line_decompose_rejects_a_residue_point_no_set_bounds():
+    """A stage the builder cannot make: (0,1) inserted, its cells (0,1/2)
+    and (1/2,1).  Every part end of a built stage is an inserted end."""
+    adapter = make_adapter("rational-line")
+    quarter = DyadicMass.pow2(2)
+    cells = {
+        1: Cell(1, interval(0, F(1, 2)), quarter, "split", None, 1),
+        2: Cell(2, interval(F(1, 2), 1), quarter, "split", None, 1),
+    }
+    stage = Stage(
+        1, (BasisHandle(1, interval(0, 1)),), cells, quarter + quarter, adapter
+    )
+    with pytest.raises(NotRepresentable, match="residue point 1/2 is not"):
+        decompose(interval(0, 1), stage)
 
 
 def test_ring_union_and_difference(t1):
