@@ -143,9 +143,15 @@ ONE = DyadicMass(1, 0)
 def dyadic_sum(masses) -> DyadicMass:
     """Exact sum of an iterable of masses; total must stay within [0, 1].
 
-    Every mantissa is shifted to the largest scale and summed as one plain
-    integer, so only the total is normalised and checked.
+    The mantissas of each scale are added first, and each of those sums is
+    shifted once to the largest scale, so a long list of masses at many
+    deep scales pays one long shift per scale, not per mass.  Only the
+    total is normalised and checked.
     """
-    masses = list(masses)
-    scale = max((m.scale for m in masses), default=0)
-    return DyadicMass(sum(m.mantissa << (scale - m.scale) for m in masses), scale)
+    by_scale: dict[int, int] = {}
+    for m in masses:
+        by_scale[m.scale] = by_scale.get(m.scale, 0) + m.mantissa
+    scale = max(by_scale, default=0)
+    return DyadicMass(
+        sum(total << (scale - s) for s, total in by_scale.items()), scale
+    )

@@ -18,9 +18,12 @@ The geometry of each space sits behind the cell index its adapter class
 names as ``cell_index``: ``_LineCells`` or ``_CantorCells``.  An index owns
 the cell regions and ids: ``refine`` splits the cells a new set splits and
 carves the set outside the closure of everything inserted before.  The
-line refines in three steps, the last of them one walk (``carve``) that
-also records the set's closure; Cantor space refines in one walk up from
-the new cylinder to the cell holding it, if any.  ``locate_host`` finds
+line keeps its cell parts, and the spans of its multi-part cells, in
+sorted blocks (``_Blocks``).  It refines a set that lies strictly inside
+one cell part, as every hole does, by splitting that cell alone; any other
+set takes three steps, the last of them one walk (``carve``) that also
+records the set's closure.  Cantor space refines in one walk up from the
+new cylinder to the cell holding it, if any.  ``locate_host`` finds
 hole hosts and ``decompose`` writes regions as whole cells.  An index
 holds regions and ids, never an adapter, so a stage, a builder or a line
 stream that keeps one forms no reference cycle with its adapter and is
@@ -36,6 +39,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, islice
 from operator import itemgetter, or_, sub
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -256,59 +260,113 @@ def _span_entry(entries) -> tuple:
     return (*entries[0][:3], *entries[-1][3:])
 
 
-class _SpanIndex:
-    """Stabbing index over the spans of multi-part line cells.
+class _Blocks:
+    """A sorted list of distinct entries, kept in sorted blocks.
 
-    A span runs from a cell's first ``lo`` to its last ``hi``.  Keyed
-    entries ``(lo_h, lo_e, lo, hi_h, hi_e, hi, cell_id)`` sit sorted in
-    blocks of bounded size, and each block caches the largest ``hi_h`` it
-    holds, so a query only opens blocks that hold a span reaching past the
-    point.
+    Blocks hold at most ``2 * _LOAD`` entries, and ``_firsts`` holds the
+    first entry of each, so an ``insort`` moves the entries of one block,
+    not of the whole list.  A position ``(i, j)`` is entry ``j`` of block
+    ``i``, with ``j`` inside the block, or ``(len(blocks), 0)`` past the
+    end, so positions order like indices of the flat list.  Entries may be
+    mutated in place as long as their order stays.
     """
 
     _LOAD = 64
 
+    def __init__(self, entries: list | tuple = ()) -> None:
+        load = self._LOAD
+        self._blocks = [entries[k:k + load] for k in range(0, len(entries), load)]
+        self._firsts = [block[0] for block in self._blocks]
+
+    def __iter__(self):
+        return chain.from_iterable(self._blocks)
+
+    def locate(self, key) -> tuple[int, int]:
+        """Position of the first entry not below key."""
+        i = bisect_right(self._firsts, key) - 1
+        if i < 0:
+            return 0, 0
+        block = self._blocks[i]
+        j = bisect_left(block, key)
+        return (i + 1, 0) if j == len(block) else (i, j)
+
+    def before(self, pos: tuple[int, int]):
+        """The entry just before pos, or None at the start."""
+        i, j = pos
+        if j:
+            return self._blocks[i][j - 1]
+        return self._blocks[i - 1][-1] if i else None
+
+    def walk(self, pos: tuple[int, int]):
+        """The entries from pos on, ascending."""
+        i, j = pos
+        return islice(chain.from_iterable(islice(self._blocks, i, None)), j, None)
+
+    def insort(self, entry) -> int:
+        """Add entry; returns the index of the block it went into, which
+        splits in two past ``2 * _LOAD`` entries."""
+        blocks, firsts = self._blocks, self._firsts
+        if not blocks:
+            blocks.append([entry])
+            firsts.append(entry)
+            return 0
+        i = max(bisect_right(firsts, entry) - 1, 0)
+        block = blocks[i]
+        insort(block, entry)
+        firsts[i] = block[0]
+        load = self._LOAD
+        if len(block) > 2 * load:
+            blocks.insert(i + 1, block[load:])
+            del block[load:]
+            firsts.insert(i + 1, blocks[i + 1][0])
+        return i
+
+    def remove(self, entry) -> int:
+        """Drop entry, raising KeyError if it is not held; returns the index
+        of its block, which goes away when it empties."""
+        i, j = self.locate(entry)
+        blocks = self._blocks
+        if i == len(blocks) or blocks[i][j] != entry:
+            raise KeyError(entry)
+        block = blocks[i]
+        del block[j]
+        if block:
+            self._firsts[i] = block[0]
+        else:
+            del blocks[i], self._firsts[i]
+        return i
+
+
+class _SpanIndex(_Blocks):
+    """Stabbing index over the spans of multi-part line cells.
+
+    A span runs from a cell's first ``lo`` to its last ``hi``.  Keyed
+    entries ``(lo_h, lo_e, lo, hi_h, hi_e, hi, cell_id)`` sit in sorted
+    blocks, and each block caches the largest ``hi_h`` it holds, so a query
+    only opens blocks that hold a span reaching past the point.
+    """
+
     def __init__(self) -> None:
-        self._blocks: list[list[tuple]] = []
-        self._firsts: list[tuple] = []
+        super().__init__()
         self._max_hi: list[float] = []
 
     def add(self, entry: tuple) -> None:
-        if not self._blocks:
-            self._blocks.append([entry])
-            self._firsts.append(entry)
-            self._max_hi.append(entry[3])
-            return
-        i = max(bisect_right(self._firsts, entry) - 1, 0)
-        block = self._blocks[i]
-        insort(block, entry)
-        self._firsts[i] = block[0]
-        if entry[3] > self._max_hi[i]:
-            self._max_hi[i] = entry[3]
-        if len(block) > 2 * self._LOAD:
-            tail = block[self._LOAD:]
-            del block[self._LOAD:]
-            self._blocks.insert(i + 1, tail)
-            self._firsts.insert(i + 1, tail[0])
-            self._max_hi[i] = max(e[3] for e in block)
-            self._max_hi.insert(i + 1, max(e[3] for e in tail))
+        i = self.insort(entry)
+        if len(self._max_hi) == len(self._blocks):
+            if entry[3] > self._max_hi[i]:
+                self._max_hi[i] = entry[3]
+        else:  # the first block, or block i split in two
+            self._max_hi[i:i + 1] = [
+                max(e[3] for e in block) for block in self._blocks[i:i + 2]
+            ]
 
     def remove(self, entry: tuple) -> None:
         """Drop entry; raise KeyError if the index does not hold it."""
-        i = bisect_right(self._firsts, entry) - 1
-        if i < 0:
-            raise KeyError(entry)
-        block = self._blocks[i]
-        j = bisect_left(block, entry)
-        if j == len(block) or block[j] != entry:
-            raise KeyError(entry)
-        del block[j]
-        if not block:
-            del self._blocks[i], self._firsts[i], self._max_hi[i]
-            return
-        self._firsts[i] = block[0]
-        if entry[3] == self._max_hi[i]:
-            self._max_hi[i] = max(e[3] for e in block)
+        i = super().remove(entry)
+        if len(self._max_hi) != len(self._blocks):
+            del self._max_hi[i]
+        elif entry[3] == self._max_hi[i]:
+            self._max_hi[i] = max(e[3] for e in self._blocks[i])
 
     def stab(self, key: tuple) -> list[int]:
         """Ids of cells whose span strictly contains the point of key."""
@@ -329,9 +387,10 @@ class _LineCells:
 
     Every cell part is one mutable keyed entry ``[lo_h, lo_e, lo, hi_h, hi_e,
     hi, cell_id]``, where ``(lo_h, lo_e, lo)`` is ``line_key(lo)``.  Parts
-    are disjoint open intervals, so their starts are unique and one sorted
-    list of the entries is ordered by ``lo`` alone; a bisect probes it with
-    a bare key ``[lo_h, lo_e, lo]``.  A cell filed by refinement also keeps
+    are disjoint open intervals, so their starts are unique and the sorted
+    part list (``_parts``, in ``_Blocks``) is ordered by ``lo`` alone; a
+    bisect probes it with a bare key ``[lo_h, lo_e, lo]``, and adding a part
+    moves the entries of one block only.  A cell filed by refinement also keeps
     its own entries, ascending; an index built from a stage's cells holds
     the part list alone.  Refinement only makes the partition finer, so no
     start ever goes away: a split shortens the entries that straddle the
@@ -341,7 +400,10 @@ class _LineCells:
     the inserted intervals are kept merged, as a sorted list of disjoint
     closed intervals ``[lo_h, lo_e, lo, hi_h, hi_e, hi]``, and ``carve``
     reads the gaps between those that meet a new interval and merges them
-    with its closure in the same walk.
+    with its closure in the same walk.  A new interval strictly inside one
+    part, which ``_host`` finds as ``locate_host`` does, skips both
+    ``split_cells`` and ``carve``: it splits that part's cell alone, and
+    the inside cell takes the inserted region as its own.
 
     Every comparison goes through the keys, which order exactly like the
     rationals.  A key of one float is not enough: the straddlers around 0
@@ -355,11 +417,11 @@ class _LineCells:
         self.regions = regions
         self.next_id = max(regions, default=0) + 1
         self._entries: dict[int, tuple] = {}
-        self._parts = sorted(
+        self._parts = _Blocks(sorted(
             list(_line_entry(lo, hi, cid))
             for cid, region in regions.items()
             for lo, hi in region.parts
-        )
+        ))
         self._spans = _SpanIndex()  # cells with two or more parts
         self._closures: list[list] = []
 
@@ -368,29 +430,52 @@ class _LineCells:
 
         Returns ``(old, inside, outside)`` ids per split cell, ascending by
         old id, then the fresh cell's id or None; new ids follow that order.
-        The three steps take the keys of a and b, made here once.
+        The steps take the keys of a and b, made here once.
+
+        A part that strictly contains [a, b] (a hole's host) is the only
+        part (a, b) meets, and it lies inside the closures, so its cell is
+        the only split, its inside piece is (a, b) itself and nothing is
+        fresh: that case needs neither ``split_cells`` nor ``carve``.
         """
         a, b = region.parts[0]
         ka, kb = [*line_key(a)], [*line_key(b)]
+        host = self._host(ka, b, kb)
+        if host is not None:
+            old = host[6]  # before ``_split`` relabels the entry
+            return [(old, *self._split(old, ka, kb, region))], None
         splits = [(old, *self._split(old, ka, kb)) for old in self.split_cells(ka, kb)]
         fresh = self.carve(ka, kb)
         return splits, None if fresh.is_empty else self._spawn(fresh)
 
+    def _host(self, ka: list, b: Fraction, kb: list | None = None) -> list | None:
+        """The part entry strictly containing [a, b], if any: the part
+        before the first that starts at a or later, when it ends past b.
+        b is keyed only if there is such a part and kb is not its key."""
+        entry = self._parts.before(self._parts.locate(ka))
+        if entry is None:
+            return None
+        if kb is None:
+            kb = [*line_key(b)]
+        return entry if entry[3:6] > kb else None
+
     def _spawn(self, region: LineRegion) -> int:
         entries = [list(_line_entry(lo, hi, 0)) for lo, hi in region.parts]
         for entry in entries:
-            insort(self._parts, entry)
-        return self._file(entries)
+            self._parts.insort(entry)
+        return self._file(entries, region)
 
-    def _file(self, entries: list[list]) -> int:
+    def _file(self, entries: list[list], region: LineRegion | None = None) -> int:
         """Make a new cell of entries already in the part list: relabel
-        them, and file the cell's region and span.  Returns its id."""
+        them, and file the cell's region (region when the caller has it)
+        and span.  Returns its id."""
         cid = self.next_id
         self.next_id += 1
         for entry in entries:
             entry[6] = cid
         self._entries[cid] = entries = tuple(entries)
-        self.regions[cid] = LineRegion(tuple((e[2], e[5]) for e in entries))
+        if region is None:
+            region = LineRegion(tuple((e[2], e[5]) for e in entries))
+        self.regions[cid] = region
         if len(entries) > 1:
             self._spans.add(_span_entry(entries))
         return cid
@@ -409,16 +494,18 @@ class _LineCells:
         """
         seen: set[int] = set()
         parts = self._parts
-        start = bisect_left(parts, ka)
-        stop = bisect_left(parts, kb)
+        start = parts.locate(ka)
+        stop = parts.locate(kb)
         # parts are disjoint, so at most one part contains a
-        if start > 0 and parts[start - 1][3:6] > ka:
-            seen.add(parts[start - 1][6])
+        entry = parts.before(start)
+        if entry is not None and entry[3:6] > ka:
+            seen.add(entry[6])
         # with no part starting in [a, b), only the straddler of a meets
         # (a, b)
         if stop > start:
-            if parts[stop - 1][3:6] > kb:
-                seen.add(parts[stop - 1][6])  # straddles b
+            entry = parts.before(stop)
+            if entry[3:6] > kb:
+                seen.add(entry[6])  # straddles b
             a, b = ka[2], kb[2]
             for key in (ka, kb):
                 for cid in self._spans.stab(tuple(key)):
@@ -432,9 +519,12 @@ class _LineCells:
                         seen.add(cid)
         return sorted(seen)
 
-    def _split(self, old: int, ka: list, kb: list) -> tuple[int, int]:
+    def _split(
+        self, old: int, ka: list, kb: list, inside_region: LineRegion | None = None
+    ) -> tuple[int, int]:
         """Refile cell old as two cells, its parts inside (a, b) and outside
-        [a, b], and return their ids.
+        [a, b], and return their ids; the inside cell takes inside_region
+        when the caller has it.
 
         At most two entries straddle a or b.  Each is cut in place at the
         end it straddles, and its tail past that end becomes one new entry
@@ -457,24 +547,18 @@ class _LineCells:
             if entry[:3] < ka:
                 outside.append(entry)
                 entry[3:6], entry = ka, ka + entry[3:]
-                insort(parts, entry)
+                parts.insort(entry)
             inside.append(entry)
             if entry[3:6] > kb:
                 entry[3:6], tail = kb, kb + entry[3:]
-                insort(parts, tail)
+                parts.insort(tail)
                 outside.append(tail)
-        return self._file(inside), self._file(outside)
+        return self._file(inside, inside_region), self._file(outside)
 
     def locate_host(self, region: LineRegion) -> int | None:
         a, b = region.parts[0]
-        idx = bisect_left(self._parts, [*line_key(a)])
-        if idx == 0:
-            return None
-        # the part before the bisect starts strictly before a
-        entry = self._parts[idx - 1]
-        if entry[3:6] > [*line_key(b)]:
-            return entry[6]
-        return None
+        entry = self._host([*line_key(a)], b)
+        return None if entry is None else entry[6]
 
     def carve(self, ka: list, kb: list) -> LineRegion:
         """(a, b) minus the closures, in the one walk that merges them with
@@ -519,10 +603,8 @@ class _LineCells:
         for p, q in region.parts:
             kp, kq = [*line_key(p)], [*line_key(q)]
             # a part straddling p leaves the open gap after p uncovered
-            idx = bisect_left(parts, kp)
             cursor = kp
-            while idx < len(parts):
-                entry = parts[idx]
+            for entry in parts.walk(parts.locate(kp)):
                 if entry[:3] >= kq:
                     break
                 if entry[:3] > cursor:
@@ -540,7 +622,6 @@ class _LineCells:
                     )
                 visits[entry[6]] = visits.get(entry[6], 0) + 1
                 cursor = entry[3:6]
-                idx += 1
             if cursor != kq:
                 raise NotRepresentable(
                     f"the open gap ({cursor[2]},{q}) of {region!r} is covered "

@@ -54,6 +54,7 @@ def scheduling_test(name):
 
 
 ALGEBRA = law("test_region_algebra_matches_the_oracle")
+BLOCKS = ("tests/test_split_oracle.py::test_blocks_match_a_sorted_list",)
 POINTS = law("test_points_match_the_oracle")
 SUBCOVER = law("test_finite_subcover")
 
@@ -189,8 +190,8 @@ MUTANTS = [
     ),
     Mutant(  # a part that ends at the new interval's start meets it
         "stages.py",
-        "parts[start - 1][3:6] > ka",
-        "parts[start - 1][3:6] >= ka",
+        "entry is not None and entry[3:6] > ka",
+        "entry is not None and entry[3:6] >= ka",
         LINE_ENGINE,
     ),
     Mutant(  # a cell stabbed at an end meets the new interval wherever it lies
@@ -211,11 +212,35 @@ MUTANTS = [
         "if cursor <= kb:",
         LINE_ENGINE,
     ),
-    Mutant(  # a part that ends at the hole's right end hosts it
+    Mutant(  # the host test: a part that ends at the interval's right end hosts it
         "stages.py",
-        "entry[3:6] > [*line_key(b)]",
-        "entry[3:6] >= [*line_key(b)]",
+        "return entry if entry[3:6] > kb else None",
+        "return entry if entry[3:6] >= kb else None",
         LINE_ENGINE,
+    ),
+    Mutant(  # a host's inside cell gets a region built anew, not the inserted one
+        "stages.py",
+        "self._file(inside, inside_region)",
+        "self._file(inside)",
+        stages_test("test_line_depth4_hosted_insertions_skip_the_general_refine"),
+    ),
+    Mutant(  # a block split keeps its middle entry in both halves
+        "stages.py",
+        "del block[load:]",
+        "del block[load + 1:]",
+        BLOCKS,
+    ),
+    Mutant(  # nothing comes before the first entry of a later block
+        "stages.py",
+        "return self._blocks[i - 1][-1] if i else None",
+        "return None",
+        BLOCKS,
+    ),
+    Mutant(  # a position past a block's last entry stays in that block
+        "stages.py",
+        "return (i + 1, 0) if j == len(block) else (i, j)",
+        "return i, j",
+        BLOCKS,
     ),
     Mutant(  # a line cell with a part outside the region counts as inside
         "stages.py",
@@ -264,6 +289,12 @@ MUTANTS = [
         "sorted(hole_set) + sorted(cover_set | set(remainder))",
         "sorted(hole_set | cover_set | set(remainder))",
         scheduling_test("test_line_depth2_permutation"),
+    ),
+    Mutant(  # a scale keeps only its last mantissa in the mass sum
+        "dyadic.py",
+        "by_scale[m.scale] = by_scale.get(m.scale, 0) + m.mantissa",
+        "by_scale[m.scale] = m.mantissa",
+        ("tests/test_dyadic.py::test_dyadic_sum_matches_the_fraction_sum",),
     ),
     Mutant(  # a snapshot skips the mass audit
         "stages.py",

@@ -8,7 +8,7 @@ from functools import reduce
 from operator import add
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from dyadicmeasure.dyadic import ONE, ZERO, DyadicMass, dyadic_sum
@@ -158,3 +158,25 @@ def test_dyadic_sum_matches_left_fold(pairs):
             dyadic_sum(parts)
     else:
         assert dyadic_sum(iter(parts)) == folded
+
+
+# scales thousands of bits apart, several shared, with tiny and full-width
+# mantissas, so sums stay within 1 or pass it
+deep_masses = st.builds(
+    lambda mantissa, scale: DyadicMass(mantissa % ((1 << scale) + 1), scale),
+    st.one_of(st.integers(0, 3), st.integers(0, 1 << 5000)),
+    st.sampled_from((0, 1, 7, 60, 2000, 2001, 4999)),
+)
+
+
+@given(st.lists(deep_masses, max_size=12))
+@example([])
+@example([DyadicMass(3, 4000)])
+@example([DyadicMass(1, 4999), DyadicMass(1, 1), DyadicMass(1, 4999)])
+def test_dyadic_sum_matches_the_fraction_sum(parts):
+    total = sum((m.as_fraction() for m in parts), Fraction(0))
+    if total <= 1:
+        assert dyadic_sum(parts).as_fraction() == total
+    else:
+        with pytest.raises(InvariantViolation):
+            dyadic_sum(parts)

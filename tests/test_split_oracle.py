@@ -16,6 +16,7 @@ parents.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from fractions import Fraction
 
 import pytest
@@ -187,6 +188,13 @@ def test_line_splits_match_oracle(monkeypatch):
     assert stabs
 
 
+def test_line_splits_match_oracle_in_blocks_of_two(monkeypatch):
+    """The same oracle, with the part list and the span index in blocks
+    that split at their fifth entry, so most reads cross blocks."""
+    monkeypatch.setattr(stages._Blocks, "_LOAD", 2)
+    test_line_splits_match_oracle(monkeypatch)
+
+
 def cylinders(*words):
     return [cantor_region((w,)) for w in words]
 
@@ -243,3 +251,48 @@ def test_span_index_remove_of_a_missing_entry_raises_key_error():
     index.remove(entry)
     with pytest.raises(KeyError):
         index.remove(entry)
+
+
+class _BlocksOfTwo(stages._Blocks):
+    _LOAD = 2
+
+
+ASCENDING = [(True, x) for x in range(0, 41, 2)]
+
+
+@ORACLE
+@given(
+    st.lists(st.integers(0, 40), unique=True, max_size=20),
+    st.lists(st.tuples(st.booleans(), st.integers(0, 40)), min_size=40, max_size=300),
+)
+@example([], ASCENDING + [(False, x) for x in range(40, -1, -2)])
+@example([], ASCENDING[::-1] + [(True, x) for x in range(1, 41, 2)])
+def test_blocks_match_a_sorted_list(initial, steps):
+    """Insertions and removals in blocks of at most four entries, each
+    followed by reads around the touched entry, against a plain list."""
+    flat = sorted(initial)
+    blocks = _BlocksOfTwo(list(flat))
+    for add, x in steps:
+        if add and x not in flat:
+            insort(flat, x)
+            blocks.insort(x)
+        elif not add and x in flat:
+            flat.remove(x)
+            blocks.remove(x)
+        elif not add:
+            with pytest.raises(KeyError):
+                blocks.remove(x)
+        assert list(blocks) == flat
+        assert all(0 < len(block) <= 4 for block in blocks._blocks)
+        assert blocks._firsts == [block[0] for block in blocks._blocks]
+        for key in (x - 1, x, x + 1):
+            idx = bisect_left(flat, key)
+            pos = blocks.locate(key)
+            assert blocks.before(pos) == (flat[idx - 1] if idx else None)
+            assert list(blocks.walk(pos)) == flat[idx:]
+    # positions order like indices of the flat list
+    positions = [blocks.locate(key) for key in range(-1, 43)]
+    indices = [bisect_left(flat, key) for key in range(-1, 43)]
+    assert positions == sorted(positions)
+    for p, q, i, j in zip(positions, positions[1:], indices, indices[1:]):
+        assert (p < q) == (i < j)

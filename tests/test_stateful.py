@@ -20,8 +20,14 @@ from fractions import Fraction
 
 from hypothesis import settings
 from hypothesis import strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    invariant,
+    rule,
+    run_state_machine_as_test,
+)
 
+from dyadicmeasure import stages
 from dyadicmeasure.adapters import BasisHandle, make_adapter
 from dyadicmeasure.errors import NotRepresentable
 from dyadicmeasure.regions import cantor_region, interval, line_contains_point
@@ -293,3 +299,10 @@ TestLineEngine = LineMachine.TestCase
 TestLineEngine.settings = STATEFUL
 TestCantorEngine = CantorMachine.TestCase
 TestCantorEngine.settings = STATEFUL
+
+
+def test_line_engine_in_blocks_of_two(monkeypatch):
+    """The line machine again, with the part list and the span index in
+    blocks that split at their fifth entry, so most reads cross blocks."""
+    monkeypatch.setattr(stages._Blocks, "_LOAD", 2)
+    run_state_machine_as_test(LineMachine, settings=STATEFUL)
